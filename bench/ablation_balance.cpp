@@ -95,7 +95,7 @@ int main_impl() {
     shape_check(gains[2] > 0.02,
                 "successive balancing wins in the comm-heavy regime");
     dump_metrics("ablation_balance");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

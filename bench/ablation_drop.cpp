@@ -69,7 +69,7 @@ int main_impl() {
     shape_check(gains[0] > -0.01 && gains[1] > -0.01,
                 "physical dropping is never worse");
     dump_metrics("ablation_drop");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

@@ -80,7 +80,7 @@ int main_impl() {
     shape_check(vm_apps == 0 && ps_load == 1,
                 "vmstat misses the blocked application; dmpi_ps includes it");
     dump_metrics("ablation_load_sense");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

@@ -77,7 +77,7 @@ int main_impl() {
                 "memory-blind balancing re-overloads the node once the "
                 "measured costs look clean again");
     dump_metrics("ablation_memory");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

@@ -66,9 +66,20 @@ inline apps::CycleHook competing_at_cycle(msg::Machine& m, int node,
     };
 }
 
+/// Failed shape checks so far in this process.
+inline int& shape_failures() {
+    static int failures = 0;
+    return failures;
+}
+
+/// Print one shape check; a DEVIATION is recorded and fails the bench.
 inline void shape_check(bool ok, const std::string& what) {
     std::printf("  [%s] %s\n", ok ? "PASS" : "DEVIATION", what.c_str());
+    if (!ok) ++shape_failures();
 }
+
+/// Exit status of a bench: nonzero when any shape check deviated.
+inline int shape_status() { return shape_failures() == 0 ? 0 : 1; }
 
 inline void section(const std::string& title) {
     std::printf("\n=== %s ===\n", title.c_str());

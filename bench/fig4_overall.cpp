@@ -207,7 +207,7 @@ int main_impl() {
     shape_check(part4->dynmpi.elapsed < part4->noadapt.elapsed,
                 "particle: adaptation beats no-adapt despite imbalance");
     dump_metrics("fig4_overall");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

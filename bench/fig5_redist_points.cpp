@@ -109,7 +109,7 @@ int main_impl() {
     run_experiment("Short Execution", 50);
     run_experiment("Long Execution", 500);
     dump_metrics("fig5_redist_points");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

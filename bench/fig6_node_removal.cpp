@@ -103,7 +103,7 @@ int main_impl() {
     shape_check(gain(2, 3) > gain(2, 1),
                 "on 32 nodes, more CPs -> bigger removal benefit");
     dump_metrics("fig6_node_removal");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

@@ -103,7 +103,7 @@ int main_impl() {
                 "the benefit of the longer grace period grows with the "
                 "computation imbalance");
     dump_metrics("fig7_grace_period");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

@@ -100,7 +100,7 @@ int main_impl() {
                 "even a half-array move costs a few seconds at most "
                 "(paper: ~1 s for the CG redistribution)");
     dump_metrics("overhead_table");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

@@ -97,7 +97,7 @@ int main_impl() {
                 "successive balancing converges well before the round cap "
                 "at every machine size");
     dump_metrics("synthetic_tuning");
-    return 0;
+    return shape_status();
 }
 
 }  // namespace dynmpi::bench

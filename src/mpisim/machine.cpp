@@ -1,6 +1,11 @@
 #include "mpisim/machine.hpp"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <sstream>
+#include <utility>
 
 #include "mpisim/rank.hpp"
 #include "support/error.hpp"
@@ -17,16 +22,9 @@ Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
 }
 
 Machine::~Machine() {
-    // If run() threw (or was never called), make sure no rank thread is left
-    // parked on its condition variable.
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        aborting_ = true;
-        for (auto& rs : ranks_)
-            if (rs) rs->cv.notify_all();
-    }
-    for (auto& rs : ranks_)
-        if (rs && rs->thread.joinable()) rs->thread.join();
+    // If run() threw before its own shutdown, no rank thread may be left
+    // parked on its semaphore.
+    shutdown();
 }
 
 Machine::RankState& Machine::state(int r) {
@@ -38,6 +36,11 @@ void Machine::run(std::function<void(Rank&)> fn) {
     DYNMPI_REQUIRE(!started_, "a Machine runs exactly one program");
     started_ = true;
     program_ = std::move(fn); // kept beyond this frame: revived ranks rerun it
+#ifdef __GLIBC__
+    // Only the baton holder runs, so per-thread malloc arenas buy no
+    // concurrency and only fragment memory.
+    mallopt(M_ARENA_MAX, 1);
+#endif
 
     const int n = num_ranks();
     ranks_.reserve(static_cast<std::size_t>(n));
@@ -51,23 +54,23 @@ void Machine::run(std::function<void(Rank&)> fn) {
         cluster_.engine().at(0, [this, r] { resume_rank(r); });
     }
 
-    // Engine loop: drain events; resume events hand the baton to ranks.
-    // Weak background events (daemons, load bursts) never keep the loop
-    // alive on their own.
-    sim::Engine& eng = cluster_.engine();
-    eng.run();
+    // Dispatch until a rank takes the baton; it comes back here whenever a
+    // rank ends or unwinds, and for good once no strong events remain (weak
+    // background events — daemons, load bursts — never keep the run alive).
+    for (int next = dispatch(); next != kMain; next = dispatch()) {
+        hand_to(next);
+        main_wake_.acquire();
+    }
 
-    // Strong events drained.  Any rank not Done is deadlocked (blocked with
-    // no wake event) — tear them down and report.
+    // Any rank not Done is deadlocked (blocked with no wake event) — tear
+    // them down and report.
     std::vector<int> stuck;
     for (int r = 0; r < n; ++r)
         if (state(r).phase != RankPhase::Done) stuck.push_back(r);
-    if (!stuck.empty()) abort_blocked_ranks();
+    shutdown();
+    if (engine_error_) std::rethrow_exception(engine_error_);
 
-    for (auto& rs : ranks_)
-        if (rs->thread.joinable()) rs->thread.join();
-
-    elapsed_ = sim::to_seconds(eng.now());
+    elapsed_ = sim::to_seconds(cluster_.engine().now());
     export_observability();
 
     for (auto& rs : ranks_)
@@ -129,49 +132,34 @@ void Machine::export_observability() {
 
 void Machine::spawn_rank_thread(int r) {
     RankState& rs = state(r);
-    rs.thread = std::thread([this, r] {
-        Rank rank(*this, r);
-        // Wait for the first resume.
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            state(r).cv.wait(lock, [&] {
-                return active_rank_ == r || aborting_;
-            });
-            if (aborting_ && active_rank_ != r) {
-                state(r).phase = RankPhase::Done;
-                engine_cv_.notify_all();
-                return;
+    rs.thread = std::thread([this, &rs, r] {
+        rs.wake.acquire(); // the first resume
+        if (!aborting_) {
+            Rank rank(*this, r);
+            try {
+                program_(rank);
+            } catch (const MachineAborted&) {
+                // torn down deliberately; not an error of its own
+            } catch (const NodeCrashed&) {
+                // this rank's node died; the process just stops existing
+            } catch (...) {
+                rs.error = std::current_exception();
             }
-            state(r).phase = RankPhase::Running;
         }
-        try {
-            program_(rank);
-        } catch (const MachineAborted&) {
-            // torn down deliberately; not an error of its own
-        } catch (const NodeCrashed&) {
-            // this rank's node died; the process just stops existing
-        } catch (...) {
-            state(r).error = std::current_exception();
-        }
-        std::unique_lock<std::mutex> lock(mu_);
-        state(r).phase = RankPhase::Done;
-        active_rank_ = -1;
-        engine_cv_.notify_all();
+        rs.phase = RankPhase::Done;
+        hand_to(kMain); // never dispatch from a thread that is about to exit
     });
 }
 
 void Machine::on_node_revive(int node) {
-    // Engine context: no rank holds the baton.  The dead incarnation's thread
-    // unwound via NodeCrashed when its crash wake fired (strictly before this
-    // event), so it is Done; reap it and start a fresh incarnation that
-    // reruns the program from the top.
+    // Event context.  The dead incarnation's thread unwound via NodeCrashed
+    // when its crash wake fired (strictly before this event) and handed the
+    // baton to the main thread, so this never runs on the thread it joins.
+    // Reap it and start a fresh incarnation that reruns the program.
     if (!started_) return;
     RankState* old = ranks_[static_cast<std::size_t>(node)].get();
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        DYNMPI_CHECK(old->phase == RankPhase::Done,
-                     "revive of a rank that has not unwound");
-    }
+    DYNMPI_CHECK(old->phase == RankPhase::Done,
+                 "revive of a rank that has not unwound");
     if (old->thread.joinable()) old->thread.join();
     if (old->error) {
         // A real error (not NodeCrashed) must not be silently discarded by
@@ -193,52 +181,68 @@ void Machine::resume_rank_inc(int r, std::uint64_t inc) {
 }
 
 void Machine::resume_rank(int r) {
-    std::unique_lock<std::mutex> lock(mu_);
     RankState& rs = state(r);
-    DYNMPI_CHECK(active_rank_ == -1, "resume while another rank is active");
     if (rs.phase == RankPhase::Done && cluster_.node_crashed(r)) {
         // A stale wake (batch completion, matched recv) aimed at a rank
         // whose node has since crashed and unwound.  Nothing to resume.
         return;
     }
     DYNMPI_CHECK(rs.phase != RankPhase::Done, "resume of finished rank");
-    active_rank_ = r;
+    // Recording the runner is exact only because every resume is the last
+    // action of its event (Cpu::finish_batch, the network delivery, sleep
+    // timers, on_node_revive): dispatch() stops before another event runs.
+    DYNMPI_CHECK(next_ == kMain, "second resume pending in one event");
     rs.phase = RankPhase::Running;
-    rs.cv.notify_all();
-    engine_cv_.wait(lock, [&] { return active_rank_ == -1; });
+    next_ = r;
+}
+
+int Machine::dispatch() {
+    sim::Engine& eng = cluster_.engine();
+    try {
+        while (next_ == kMain && !engine_error_ && eng.has_strong())
+            eng.step();
+    } catch (...) {
+        // run() rethrows it on the main thread, whichever thread hit it.
+        engine_error_ = std::current_exception();
+        next_ = kMain;
+    }
+    return std::exchange(next_, kMain);
+}
+
+void Machine::hand_to(int next) {
+    (next == kMain ? main_wake_ : state(next).wake).release();
 }
 
 void Machine::yield_from_rank(int r) {
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        RankState& rs = state(r);
-        rs.phase = RankPhase::Blocked;
-        active_rank_ = -1;
-        engine_cv_.notify_all();
-        rs.cv.wait(lock, [&] { return active_rank_ == r || aborting_; });
-        if (aborting_ && active_rank_ != r) throw MachineAborted{};
-        rs.phase = RankPhase::Running;
+    if (aborting_) throw MachineAborted{};
+    RankState& rs = state(r);
+    rs.phase = RankPhase::Blocked;
+    const int next = dispatch();
+    if (next != r) { // else an event resumed r itself: no switch at all
+        hand_to(next);
+        rs.wake.acquire();
+        if (aborting_) throw MachineAborted{};
     }
     // The single crash delivery point: a crash can only land while this rank
-    // holds no baton (engine context), so checking on every wake-up is both
-    // sufficient and race-free.
+    // is blocked, so checking on every wake-up is both sufficient and exact.
     if (cluster_.node_crashed(r)) throw NodeCrashed{};
 }
 
-void Machine::abort_blocked_ranks() {
-    std::unique_lock<std::mutex> lock(mu_);
+void Machine::shutdown() {
     aborting_ = true;
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-        RankState& rs = *ranks_[r];
-        if (rs.phase == RankPhase::Done) continue;
-        rs.cv.notify_all();
-        // Each aborted rank throws MachineAborted, unwinds, and marks Done.
-        engine_cv_.wait(lock, [&] { return rs.phase == RankPhase::Done; });
+    for (auto& rs : ranks_) {
+        if (rs->phase == RankPhase::Done || !rs->thread.joinable()) continue;
+        // The rank throws MachineAborted, unwinds, marks Done and hands the
+        // baton back.
+        rs->wake.release();
+        main_wake_.acquire();
     }
+    for (auto& rs : ranks_)
+        if (rs->thread.joinable()) rs->thread.join();
 }
 
 void Machine::on_node_crash(int node) {
-    // Engine context: no rank holds the baton, so rank states are quiescent.
+    // Event context: no rank code is running, so rank states are quiescent.
     if (ranks_.empty()) return; // cluster faults without a running program
     sim::Engine& eng = cluster_.engine();
     // Every crash starts a new revocation epoch: survivors stranded in a

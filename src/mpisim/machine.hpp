@@ -1,28 +1,29 @@
 // SPMD machine: runs one rank thread per simulated node under the engine.
 //
 // Concurrency model (SimGrid-style conservative co-simulation): rank code
-// runs on real std::threads, but exactly one logical thread of control is
-// active at any instant — either the engine (processing events on the caller
-// thread) or a single rank.  A mutex-protected "baton" is handed off:
-//
-//   engine event "resume rank r"  →  rank r runs user code  →  rank blocks
-//   (compute / recv / sleep)      →  baton returns to the engine.
-//
-// Everything the simulation touches is therefore data-race-free by
-// construction, and runs are fully deterministic.
+// runs on real std::threads, but only the holder of a single "baton" runs —
+// the main thread (the caller of run()) or one rank — and the holder also
+// runs the event loop.  A rank that blocks (compute / recv / sleep)
+// dispatches events until one resumes a rank: if that is itself it just
+// continues, with no context switch; otherwise it releases that rank's
+// semaphore and sleeps on its own.  Resuming only records the next runner,
+// which is exact because every resume is the last action of its event.  The
+// main thread takes the baton back once no strong events remain, and from
+// every rank whose program ends or unwinds: a dying thread never dispatches,
+// so a revive never joins its own thread.  The semaphore handoffs order all
+// state, so runs are data-race-free by construction and fully deterministic.
 //
 // Misbehaving programs are diagnosed rather than hung: if the event queue
 // drains while ranks are still blocked, the machine aborts them and throws a
 // deadlock Error naming the stuck ranks.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,8 +90,9 @@ public:
     int num_ranks() const { return cluster_.size(); }
 
     /// Run `fn` as an SPMD program, one instance per rank, to completion.
-    /// Blocks the calling thread; rethrows the first rank failure; throws
-    /// Error on deadlock.  One-shot: a Machine runs one program.
+    /// Blocks the calling thread; rethrows an exception thrown by an engine
+    /// event, else the first rank failure; throws Error on deadlock.
+    /// One-shot: a Machine runs one program.
     void run(std::function<void(Rank&)> fn);
 
     /// Total virtual time consumed by the program (valid after run()).
@@ -124,10 +126,10 @@ private:
     enum class RankPhase { Idle, Running, Blocked, Done };
 
     struct RankState {
-        std::thread thread;
-        std::condition_variable cv;
+        std::binary_semaphore wake{0}; ///< released to hand this rank the baton
         RankPhase phase = RankPhase::Idle;
         std::exception_ptr error;
+        std::thread thread; ///< after the members it uses
 
         // Mailbox of delivered-but-unmatched packets.
         std::deque<sim::Packet> mailbox;
@@ -147,10 +149,12 @@ private:
         std::uint64_t seen_revoke = 0; ///< last revocation epoch observed
     };
 
-    // ---- engine-side ----
+    static constexpr int kMain = -1; ///< baton target: the main thread
+
+    // ---- event context (whichever thread holds the baton) ----
     void export_observability();       ///< push traffic/engine stats to the
                                        ///< metrics registry + trace sink
-    void resume_rank(int r);           ///< hand the baton to rank r, wait for it back
+    void resume_rank(int r);           ///< make rank r the next baton holder
     /// Incarnation-guarded resume for deferred wakes (sleep timers, delayed
     /// deliveries): dropped if the rank was revived since the wake was
     /// scheduled, so a dead incarnation's timers cannot fire into the new one.
@@ -163,10 +167,14 @@ private:
     void on_node_revive(int node);     ///< cluster revive handler: restart the
                                        ///< rank with a fresh incarnation
     void spawn_rank_thread(int r);     ///< start rank r's thread running program_
-    void abort_blocked_ranks();
 
-    // ---- rank-side ----
-    void yield_from_rank(int r); ///< give the baton back and wait to be resumed
+    // ---- baton holder ----
+    /// Run events until one resumes a rank; returns that rank, or kMain once
+    /// no strong events remain or an event threw.
+    int dispatch();
+    void hand_to(int next); ///< release the baton to rank `next` or kMain
+    void shutdown(); ///< main thread: abort unfinished ranks, join all threads
+    void yield_from_rank(int r); ///< block rank r until an event resumes it
     RankState& state(int r);
 
     /// Start a new control revocation epoch: every rank blocked in a
@@ -176,18 +184,18 @@ private:
     void revoke_control_recvs();
 
     sim::Cluster cluster_;
-    std::vector<std::unique_ptr<RankState>> ranks_;
     std::function<void(Rank&)> program_; ///< kept for rank restarts (revive)
     std::vector<std::uint64_t> incarnation_; ///< bumped per rank revival
 
-    std::mutex mu_;
-    std::condition_variable engine_cv_;
-    int active_rank_ = -1; ///< -1 while the engine holds the baton
+    std::binary_semaphore main_wake_{0}; ///< hands the baton to the main thread
+    int next_ = kMain; ///< rank resumed by the event being dispatched
+    std::exception_ptr engine_error_; ///< first exception thrown by an event
     bool aborting_ = false;
     bool started_ = false;
     double elapsed_ = 0.0;
     TrafficStats traffic_;
     std::uint64_t revoke_epoch_ = 0;
+    std::vector<std::unique_ptr<RankState>> ranks_; ///< last: threads use all
 };
 
 }  // namespace dynmpi::msg

@@ -2,8 +2,8 @@
 //
 // A Rank wraps "this process on this node": virtual compute, point-to-point
 // messaging, clocks, and access to the node's load sensors.  Blocking calls
-// hand the baton back to the engine; the rank resumes when its wake event
-// fires.
+// run the event loop on this rank's thread until a wake event resumes some
+// rank (see machine.hpp); this one carries on when its own wake fires.
 #pragma once
 
 #include <cstdint>

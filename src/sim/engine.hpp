@@ -1,9 +1,10 @@
 // Discrete-event engine: virtual clock + event queue.
 //
 // The engine is single-threaded from its own point of view: events run on the
-// thread that calls run*(), and everything the events touch is owned by that
-// logical thread of control (the SPMD machine hands a "baton" between the
-// engine and rank threads; see mpisim/machine.hpp).
+// thread that calls run*() or step(), and everything the events touch is owned
+// by one logical thread of control (the SPMD machine passes a "baton" between
+// its threads, and whichever holds it steps the engine; see
+// mpisim/machine.hpp).
 #pragma once
 
 #include <functional>
