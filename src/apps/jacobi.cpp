@@ -39,9 +39,11 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
 
     // Initialize all held rows (ghosts included) deterministically.
     for (DenseArray* g : grid)
-        for (int r : g->held().to_vector())
+        for (int r : g->held().to_vector()) {
+            double* row = g->row<double>(r);
             for (int c = 0; c < config.cols_stored; ++c)
-                g->at<double>(r, c) = initial_value(r, c);
+                row[c] = initial_value(r, c);
+        }
 
     for (int cycle = 0; cycle < config.cycles; ++cycle) {
         fire_hook(config.on_cycle, rank, cycle);
@@ -68,7 +70,9 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
                 std::memcpy(read.row_data(lo - 1), ghost.data(), row_bytes);
             }
 
-            // Real stencil on the math stripe.
+            // Real stencil on the math stripe.  Row pointers are fetched
+            // once per row, through the same (dirty-marking) accessor on the
+            // same rows as per-element access would use.
             for (int i = lo; i <= hi; ++i) {
                 if (i == 0 || i == n - 1) {
                     // Dirichlet boundary rows stay fixed.
@@ -76,17 +80,16 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
                                 row_bytes);
                     continue;
                 }
+                const double* mid = read.row<double>(i);
+                const double* up = read.row<double>(i - 1);
+                const double* down = read.row<double>(i + 1);
+                double* out = write.row<double>(i);
                 for (int j = 0; j < config.cols_stored; ++j) {
-                    double v;
-                    if (j == 0 || j >= w - 1) {
-                        v = read.at<double>(i, j); // fixed outside the stripe
-                    } else {
-                        v = 0.25 * (read.at<double>(i - 1, j) +
-                                    read.at<double>(i + 1, j) +
-                                    read.at<double>(i, j - 1) +
-                                    read.at<double>(i, j + 1));
-                    }
-                    write.at<double>(i, j) = v;
+                    if (j == 0 || j >= w - 1)
+                        out[j] = mid[j]; // fixed outside the stripe
+                    else
+                        out[j] = 0.25 * (up[j] + down[j] + mid[j - 1] +
+                                         mid[j + 1]);
                 }
             }
 
@@ -102,8 +105,10 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
     // Checksum over the final read array (the one written last).
     DenseArray& last = *grid[config.cycles % 2];
     double local = 0.0;
-    for (int r : rt.my_iters(ph).to_vector())
-        for (int c = 0; c < w; ++c) local += last.at<double>(r, c);
+    for (int r : rt.my_iters(ph).to_vector()) {
+        const double* row = last.row<double>(r);
+        for (int c = 0; c < w; ++c) local += row[c];
+    }
     double sum = rt.allreduce_active(local, msg::OpSum{});
 
     JacobiResult out;

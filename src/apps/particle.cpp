@@ -21,7 +21,8 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
     for (int r : rt.my_iters(ph).to_vector()) {
         double density =
             r < config.boost_rows ? config.boost_density : config.base_density;
-        for (int c = 0; c < w; ++c) P.at<double>(r, c) = density;
+        double* row = P.row<double>(r);
+        for (int c = 0; c < w; ++c) row[c] = density;
     }
 
     std::vector<double> up_out(static_cast<std::size_t>(w));
@@ -42,8 +43,9 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
             std::vector<int> my_rows = rt.my_iters(ph).to_vector();
             costs.reserve(my_rows.size());
             for (int r : my_rows) {
+                const double* row = P.row<double>(r);
                 double mass = 0.0;
-                for (int c = 0; c < w; ++c) mass += P.at<double>(r, c);
+                for (int c = 0; c < w; ++c) mass += row[c];
                 costs.push_back(config.sec_per_row_base +
                                 config.sec_per_particle * mass);
             }
@@ -59,8 +61,9 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
                 my_rows.size(), std::vector<double>(static_cast<size_t>(w)));
             for (std::size_t k = 0; k < my_rows.size(); ++k) {
                 int r = my_rows[k];
+                const double* row = P.row<double>(r);
                 for (int c = 0; c < w; ++c) {
-                    double m = P.at<double>(r, c);
+                    double m = row[c];
                     double to_up = r > 0 ? f * m : 0.0;
                     double to_down = r < n - 1 ? f * m : 0.0;
                     delta[k][(size_t)c] -= to_up + to_down;
@@ -94,9 +97,10 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
                 for (int c = 0; c < w; ++c)
                     delta.front()[(size_t)c] += inflow[(size_t)c];
             }
-            for (std::size_t k = 0; k < my_rows.size(); ++k)
-                for (int c = 0; c < w; ++c)
-                    P.at<double>(my_rows[k], c) += delta[k][(size_t)c];
+            for (std::size_t k = 0; k < my_rows.size(); ++k) {
+                double* row = P.row<double>(my_rows[k]);
+                for (int c = 0; c < w; ++c) row[c] += delta[k][(size_t)c];
+            }
 
             rt.run_phase(ph, costs);
         }
@@ -105,8 +109,9 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
 
     double local_mass = 0.0, local_max_row = 0.0;
     for (int r : rt.my_iters(ph).to_vector()) {
+        const double* row = P.row<double>(r);
         double row_mass = 0.0;
-        for (int c = 0; c < w; ++c) row_mass += P.at<double>(r, c);
+        for (int c = 0; c < w; ++c) row_mass += row[c];
         local_mass += row_mass;
         local_max_row = std::max(local_max_row, row_mass);
     }

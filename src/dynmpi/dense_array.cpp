@@ -1,5 +1,6 @@
 #include "dynmpi/dense_array.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace dynmpi {
@@ -17,7 +18,17 @@ std::byte* DenseArray::row_data(int row) {
     auto it = rows_.find(row);
     DYNMPI_REQUIRE(it != rows_.end(), "access to non-held row of " + name_);
     mark_row_dirty(row);
-    return it->second.data();
+    sim::SharedBytes& body = it->second;
+    if (body.use_count() > 1) {
+        // Shared with a packet in flight or another array: write a private
+        // copy, never the shared body.
+        sim::SharedBytes own = sim::SharedBytes::allocate(row_bytes(), false);
+        std::memcpy(own.data(), body.data(), row_bytes());
+        body = std::move(own);
+        ++stats_.rows_allocated;
+        stats_.bytes_copied += row_bytes();
+    }
+    return body.data();
 }
 
 const std::byte* DenseArray::row_data(int row) const {
@@ -26,46 +37,37 @@ const std::byte* DenseArray::row_data(int row) const {
     return it->second.data();
 }
 
-std::vector<std::byte> DenseArray::pack_rows(const RowSet& rows) const {
-    // Exact-size reserve: every row contributes a fixed 12-byte header plus
-    // row_bytes() of payload, so the write pass never reallocates.
-    std::vector<std::byte> out;
-    out.reserve(4 + static_cast<std::size_t>(rows.count()) *
-                        (12 + row_bytes()));
-    put_u32(out, static_cast<std::uint32_t>(rows.count()));
+RowPayload DenseArray::pack_rows(const RowSet& rows) const {
+    RowPayload out(static_cast<std::size_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
         for (int r = iv.lo; r < iv.hi; ++r) {
-            const std::byte* data = row_data(r);
-            put_u32(out, static_cast<std::uint32_t>(r));
-            put_u64(out, row_bytes());
-            out.insert(out.end(), data, data + row_bytes());
+            auto it = rows_.find(r);
+            DYNMPI_REQUIRE(it != rows_.end(),
+                           "access to non-held row of " + name_);
+            out.add(r, it->second);
         }
     }
-    stats_.bytes_packed += out.size();
+    stats_.bytes_packed += out.wire_size();
     return out;
 }
 
-void DenseArray::unpack_rows(const std::vector<std::byte>& data) {
-    std::size_t pos = 0;
-    std::uint32_t nrows = get_u32(data, pos);
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, pos));
+void DenseArray::unpack_rows(const RowPayload& rows) {
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int row = rows.row_id(k);
         DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
                        "unpacked row id out of range for " + name_);
-        std::uint64_t nbytes = get_u64(data, pos);
-        DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
-        DYNMPI_REQUIRE(pos + nbytes <= data.size(), "truncated dense row");
-        auto [it, inserted] = rows_.try_emplace(row);
-        if (inserted) {
-            it->second.resize(row_bytes());
-            ++stats_.rows_allocated;
-        }
-        std::memcpy(it->second.data(), data.data() + pos, nbytes);
-        pos += nbytes;
+        DYNMPI_REQUIRE(rows.body(k).size() == row_bytes(),
+                       "dense row size mismatch");
+    }
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int row = rows.row_id(k);
+        // Adopt the body; row_data copies it before a write while the
+        // sender still shares it.
+        rows_[row] = rows.body(k);
         held_.add(row, row + 1);
         mark_row_dirty(row);
     }
-    stats_.bytes_unpacked += data.size();
+    stats_.bytes_unpacked += rows.wire_size();
 }
 
 void DenseArray::drop_rows(const RowSet& rows) {
@@ -80,7 +82,7 @@ void DenseArray::ensure_rows(const RowSet& rows) {
         DYNMPI_REQUIRE(r >= 0 && r < global_rows_, "row out of range");
         auto [it, inserted] = rows_.try_emplace(r);
         if (inserted) {
-            it->second.assign(row_bytes(), std::byte{0});
+            it->second = sim::SharedBytes::allocate(row_bytes(), true);
             ++stats_.rows_allocated;
             mark_row_dirty(r);
         }
@@ -142,16 +144,11 @@ void ContiguousDenseArray::reextent(int lo, int hi) {
     extent_ = hi - lo;
 }
 
-std::vector<std::byte> ContiguousDenseArray::pack_rows(
-    const RowSet& rows) const {
-    // Exact-size reserve plus one held-check per interval: held_ intervals
-    // are coalesced, so a fully-held request interval lies inside a single
-    // held interval.  Rows then stream straight out of the contiguous
-    // buffer with no per-row map or containment probes.
-    std::vector<std::byte> out;
-    out.reserve(4 + static_cast<std::size_t>(rows.count()) *
-                        (12 + row_bytes()));
-    put_u32(out, static_cast<std::uint32_t>(rows.count()));
+RowPayload ContiguousDenseArray::pack_rows(const RowSet& rows) const {
+    // One held-check per interval: held_ intervals are coalesced, so a
+    // fully-held request interval lies inside a single held interval.  Rows
+    // then stream straight out of the contiguous buffer into owned bodies.
+    RowPayload out(static_cast<std::size_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
         bool covered = false;
         for (const RowInterval& h : held_.intervals())
@@ -163,48 +160,39 @@ std::vector<std::byte> ContiguousDenseArray::pack_rows(
         const std::byte* data =
             buffer_.data() +
             static_cast<std::size_t>(iv.lo - base_) * row_bytes();
-        for (int r = iv.lo; r < iv.hi; ++r, data += row_bytes()) {
-            put_u32(out, static_cast<std::uint32_t>(r));
-            put_u64(out, row_bytes());
-            out.insert(out.end(), data, data + row_bytes());
-        }
+        for (int r = iv.lo; r < iv.hi; ++r, data += row_bytes())
+            std::memcpy(out.add_owned(r, row_bytes()), data, row_bytes());
     }
-    stats_.bytes_packed += out.size();
+    stats_.bytes_packed += out.wire_size();
     return out;
 }
 
-void ContiguousDenseArray::unpack_rows(const std::vector<std::byte>& data) {
-    std::size_t pos = 0;
-    std::uint32_t nrows = get_u32(data, pos);
-    // First pass: find the new extent.
+void ContiguousDenseArray::unpack_rows(const RowPayload& rows) {
+    // First pass: check every row and find the new extent.
     RowSet incoming;
-    std::size_t scan = pos;
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, scan));
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int row = rows.row_id(k);
         DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
                        "unpacked row id out of range for " + name_);
-        std::uint64_t nbytes = get_u64(data, scan);
-        scan += nbytes;
+        DYNMPI_REQUIRE(rows.body(k).size() == row_bytes(),
+                       "dense row size mismatch");
         incoming.add(row, row + 1);
     }
-    if (nrows > 0) {
+    if (!incoming.empty()) {
         int lo = extent_ == 0 ? incoming.first() : std::min(base_, incoming.first());
         int hi = extent_ == 0 ? incoming.last() + 1
                               : std::max(base_ + extent_, incoming.last() + 1);
         reextent(lo, hi);
     }
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int row = static_cast<int>(get_u32(data, pos));
-        std::uint64_t nbytes = get_u64(data, pos);
-        DYNMPI_REQUIRE(nbytes == row_bytes(), "dense row size mismatch");
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int row = rows.row_id(k);
         held_.add(row, row + 1);
         mark_row_dirty(row);
         std::memcpy(buffer_.data() +
                         static_cast<std::size_t>(row - base_) * row_bytes(),
-                    data.data() + pos, nbytes);
-        pos += nbytes;
+                    rows.body(k).data(), row_bytes());
     }
-    stats_.bytes_unpacked += data.size();
+    stats_.bytes_unpacked += rows.wire_size();
 }
 
 void ContiguousDenseArray::drop_rows(const RowSet& rows) {

@@ -9,6 +9,12 @@
 //   - reuses surviving rows by pointer (no copy), and
 //   - allocates/frees only the rows that actually change hands.
 //
+// Row bodies are refcounted and shared by value semantics: pack_rows hands
+// out references, the receiver adopts them with no allocation or copy, and
+// the mutable accessors copy a body on write while anyone else (a packet in
+// flight, another array) still holds it.  A shared body is never written in
+// place, so sharing is invisible to every reader.
+//
 // ContiguousDenseArray is the baseline the paper argues against: one flat
 // allocation spanning the local block, where any change of extent reallocates
 // and copies everything.  It exists for the ablation bench.
@@ -33,27 +39,41 @@ public:
         return static_cast<std::size_t>(row_elems_) * elem_bytes_;
     }
 
-    /// Raw storage of a held row.
+    /// Raw storage of a held row.  The mutable form marks the row dirty and
+    /// makes its body private first (copy-on-write).  Packing shares the
+    /// body again, so fetch a fresh pointer after pack_rows, unpack_rows or
+    /// drop_rows touched the row; never write through an older one.
     std::byte* row_data(int row);
     const std::byte* row_data(int row) const;
 
-    /// Typed element access: element `j` of extended row `row`.
+    /// Typed view of a held row: one lookup per row instead of one per
+    /// element, for loops that touch many elements of the same rows.
     template <typename T>
-    T& at(int row, int j) {
+    T* row(int r) {
         DYNMPI_REQUIRE(sizeof(T) == elem_bytes_, "element type mismatch");
-        DYNMPI_REQUIRE(j >= 0 && j < row_elems_, "column out of range");
-        return reinterpret_cast<T*>(row_data(row))[j];
+        return reinterpret_cast<T*>(row_data(r));
     }
     template <typename T>
-    const T& at(int row, int j) const {
+    const T* row(int r) const {
         DYNMPI_REQUIRE(sizeof(T) == elem_bytes_, "element type mismatch");
+        return reinterpret_cast<const T*>(row_data(r));
+    }
+
+    /// Typed element access: element `j` of extended row `r`.
+    template <typename T>
+    T& at(int r, int j) {
         DYNMPI_REQUIRE(j >= 0 && j < row_elems_, "column out of range");
-        return reinterpret_cast<const T*>(row_data(row))[j];
+        return row<T>(r)[j];
+    }
+    template <typename T>
+    const T& at(int r, int j) const {
+        DYNMPI_REQUIRE(j >= 0 && j < row_elems_, "column out of range");
+        return row<T>(r)[j];
     }
 
     // ---- DistArray ----
-    std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    void unpack_rows(const std::vector<std::byte>& data) override;
+    RowPayload pack_rows(const RowSet& rows) const override;
+    void unpack_rows(const RowPayload& rows) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
     std::size_t nominal_row_bytes() const override { return row_bytes(); }
@@ -64,10 +84,11 @@ public:
 private:
     int row_elems_;
     std::size_t elem_bytes_;
-    // Top-level "pointer vector": row id → extended row storage.  Accessed
-    // strictly by key (find/try_emplace/erase); every iteration that feeds
-    // pack_rows or replica blobs walks a sorted RowSet instead.
-    std::unordered_map<int, std::vector<std::byte>> // dynmpi-lint: ok(unordered-lookup)
+    // Top-level "pointer vector": row id → extended row body, one refcounted
+    // allocation each.  Accessed strictly by key (find/try_emplace/erase);
+    // every iteration that feeds pack_rows or replica blobs walks a sorted
+    // RowSet instead.
+    std::unordered_map<int, sim::SharedBytes> // dynmpi-lint: ok(unordered-lookup)
         rows_;
 };
 
@@ -91,8 +112,8 @@ public:
         return reinterpret_cast<T*>(row_data(row))[j];
     }
 
-    std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    void unpack_rows(const std::vector<std::byte>& data) override;
+    RowPayload pack_rows(const RowSet& rows) const override;
+    void unpack_rows(const RowPayload& rows) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
     std::size_t nominal_row_bytes() const override { return row_bytes(); }

@@ -6,6 +6,94 @@
 
 namespace dynmpi {
 
+RowPayload::RowPayload(std::size_t rows) {
+    header_.reserve(4 + rows * kRowHeaderBytes);
+    bodies_.reserve(rows);
+    DistArray::put_u32(header_, 0);
+}
+
+RowPayload::RowPayload(std::vector<std::byte> header,
+                       std::vector<sim::SharedBytes> bodies)
+    : header_(std::move(header)), bodies_(std::move(bodies)) {
+    std::size_t pos = 0;
+    const std::uint64_t nrows = DistArray::get_u32(header_, pos);
+    DYNMPI_REQUIRE(header_.size() == 4 + nrows * kRowHeaderBytes,
+                   "row header length does not match its row count");
+    DYNMPI_REQUIRE(bodies_.size() == nrows,
+                   "row count does not match the body count");
+    for (const sim::SharedBytes& body : bodies_) {
+        pos += 4; // row id: the receiving array checks its range
+        const std::uint64_t nbytes = DistArray::get_u64(header_, pos);
+        DYNMPI_REQUIRE(body || nbytes == 0, "row body missing");
+        DYNMPI_REQUIRE(body.size() == nbytes,
+                       "row body size does not match its header");
+    }
+}
+
+void RowPayload::add(int row, sim::SharedBytes body) {
+    const auto nrows = static_cast<std::uint32_t>(bodies_.size() + 1);
+    const auto id = static_cast<std::uint32_t>(row);
+    const std::uint64_t nbytes = body.size();
+    const std::size_t at = header_.size();
+    header_.resize(at + kRowHeaderBytes);
+    std::memcpy(header_.data(), &nrows, 4);
+    std::memcpy(header_.data() + at, &id, 4);
+    std::memcpy(header_.data() + at + 4, &nbytes, 8);
+    bodies_.push_back(std::move(body));
+}
+
+std::byte* RowPayload::add_owned(int row, std::size_t nbytes) {
+    sim::SharedBytes body = sim::SharedBytes::allocate(nbytes, false);
+    std::byte* out = body.data();
+    add(row, std::move(body));
+    return out;
+}
+
+int RowPayload::row_id(std::size_t k) const {
+    std::uint32_t id;
+    std::memcpy(&id, header_.data() + 4 + k * kRowHeaderBytes, 4);
+    return static_cast<int>(id);
+}
+
+RowSet RowPayload::rows() const {
+    RowSet out;
+    for (std::size_t k = 0; k < size(); ++k)
+        out.add(row_id(k), row_id(k) + 1);
+    return out;
+}
+
+std::size_t RowPayload::wire_size() const {
+    std::size_t bytes = header_.size();
+    for (const sim::SharedBytes& body : bodies_) bytes += body.size();
+    return bytes;
+}
+
+std::vector<std::byte> RowPayload::flatten() const {
+    std::vector<std::byte> out(wire_size());
+    std::byte* w = out.data();
+    std::memcpy(w, header_.data(), 4);
+    w += 4;
+    for (std::size_t k = 0; k < size(); ++k) {
+        std::memcpy(w, header_.data() + 4 + k * kRowHeaderBytes,
+                    kRowHeaderBytes);
+        w += kRowHeaderBytes;
+        const sim::SharedBytes& body = bodies_[k];
+        if (body.size() > 0) std::memcpy(w, body.data(), body.size());
+        w += body.size();
+    }
+    return out;
+}
+
+RowPayload RowPayload::parse(const std::vector<std::byte>& flat) {
+    RowPayload out;
+    for_each_flat(flat, [&out](int row, const std::byte* body,
+                               std::size_t nbytes) {
+        std::byte* copy = out.add_owned(row, nbytes);
+        if (nbytes > 0) std::memcpy(copy, body, nbytes);
+    });
+    return out;
+}
+
 DistArray::DistArray(std::string name, int global_rows)
     : name_(std::move(name)), global_rows_(global_rows) {
     DYNMPI_REQUIRE(global_rows_ > 0, "array needs at least one row");

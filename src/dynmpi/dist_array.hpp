@@ -2,12 +2,9 @@
 //
 // Dyn-MPI can only redistribute data it allocated, so every redistributable
 // array is registered with the runtime and implements this interface: rows
-// can be packed into a flat message, unpacked on arrival, dropped, or
+// can be packed into a RowPayload, unpacked on arrival, dropped, or
 // allocated fresh.  Dense and sparse arrays share the interface — the
 // near-uniform allocation scheme is one of the paper's contributions.
-//
-// Pack wire format (shared by all implementations):
-//   u32 nrows, then per row: u32 row_id, u64 payload_bytes, payload.
 #pragma once
 
 #include <cstddef>
@@ -16,12 +13,74 @@
 #include <vector>
 
 #include "dynmpi/row_set.hpp"
+#include "sim/shared_bytes.hpp"
+#include "support/error.hpp"
 
 namespace dynmpi {
+
+/// The one row codec, shared by every DistArray, redistribution, replica
+/// refreshes and crash restores.
+///
+/// A payload is a header plus one body per row:
+///   header: u32 nrows, then per row: u32 row_id, u64 nbytes
+///   bodies: nrows buffers, body k holding row k's nbytes
+/// On the simulated wire the header is the packet's inline payload and the
+/// bodies are its segments, so a body crosses by reference with no copy.
+/// flatten() interleaves the two into the flat byte form used by replica
+/// refreshes and tests (the pre-segment wire format, byte for byte):
+///   u32 nrows, then per row: u32 row_id, u64 nbytes, body
+/// Both forms have the same wire_size(): 4 + sum over rows of (12 + nbytes).
+class RowPayload {
+public:
+    static constexpr std::size_t kRowHeaderBytes = 12; ///< u32 id + u64 size
+
+    /// An empty payload (zero rows), with room reserved for `rows` rows.
+    explicit RowPayload(std::size_t rows = 0);
+
+    /// Adopt a received header and its bodies.  Rejects a header whose
+    /// length does not match its row count, a body count that differs from
+    /// the row count, a missing body, and a body whose size differs from
+    /// its header entry.  Row ids are the receiving array's to check.
+    RowPayload(std::vector<std::byte> header,
+               std::vector<sim::SharedBytes> bodies);
+
+    /// Append a row whose body is shared by reference.
+    void add(int row, sim::SharedBytes body);
+    /// Append a row with a fresh `nbytes` body the caller fills through the
+    /// returned pointer.
+    std::byte* add_owned(int row, std::size_t nbytes);
+
+    std::size_t size() const { return bodies_.size(); }
+    int row_id(std::size_t k) const;
+    const sim::SharedBytes& body(std::size_t k) const { return bodies_[k]; }
+    /// Row ids carried, as a set.
+    RowSet rows() const;
+
+    const std::vector<std::byte>& header() const { return header_; }
+    const std::vector<sim::SharedBytes>& bodies() const { return bodies_; }
+    std::size_t wire_size() const;
+
+    /// The flat byte form (every body copied in after its header entry).
+    std::vector<std::byte> flatten() const;
+    /// Read the flat byte form, copying every body into its own buffer.
+    /// Rejects truncation and trailing bytes.
+    static RowPayload parse(const std::vector<std::byte>& flat);
+    /// Walk the flat byte form in place, calling f(row, body, nbytes) per
+    /// row, with parse()'s checks (a fault throws after the rows before it
+    /// were visited).  For consumers that keep their own copy of each body.
+    template <typename F>
+    static void for_each_flat(const std::vector<std::byte>& flat, F&& f);
+
+private:
+    std::vector<std::byte> header_;
+    std::vector<sim::SharedBytes> bodies_;
+};
 
 class DistArray {
 public:
     struct Stats {
+        /// Row storage allocated: fresh rows, plus (dense) bodies copied
+        /// on write.  A dense row adopted from a payload allocates nothing.
         std::uint64_t rows_allocated = 0;
         std::uint64_t rows_freed = 0;
         std::uint64_t bytes_packed = 0;
@@ -40,12 +99,15 @@ public:
     const RowSet& held() const { return held_; }
     bool has_row(int row) const { return held_.contains(row); }
 
-    /// Serialize the given (held) rows for transfer.
-    virtual std::vector<std::byte> pack_rows(const RowSet& rows) const = 0;
+    /// Package the given (held) rows for transfer.  Bodies an
+    /// implementation can share (dense rows) go by reference; the others
+    /// are copied into owned bodies.
+    virtual RowPayload pack_rows(const RowSet& rows) const = 0;
 
-    /// Deserialize rows produced by pack_rows (possibly from another node);
-    /// the rows become held, replacing any local copies.
-    virtual void unpack_rows(const std::vector<std::byte>& data) = 0;
+    /// Take in rows produced by pack_rows (possibly on another node); the
+    /// rows become held, replacing any local copies.  Every row is checked
+    /// before any is applied.
+    virtual void unpack_rows(const RowPayload& rows) = 0;
 
     /// Release storage for the given rows.
     virtual void drop_rows(const RowSet& rows) = 0;
@@ -81,7 +143,7 @@ public:
     const Stats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }
 
-    // ---- pack-format helpers (implementations + the replica store) ----
+    // ---- fixed-width field helpers (RowPayload + the revive bootstrap) ----
     static void put_u32(std::vector<std::byte>& out, std::uint32_t v);
     static void put_u64(std::vector<std::byte>& out, std::uint64_t v);
     static std::uint32_t get_u32(const std::vector<std::byte>& in,
@@ -96,5 +158,22 @@ protected:
     std::vector<char> dirty_; ///< per-row modified-since-refresh flags
     mutable Stats stats_;
 };
+
+template <typename F>
+void RowPayload::for_each_flat(const std::vector<std::byte>& flat, F&& f) {
+    std::size_t pos = 0;
+    const std::uint32_t nrows = DistArray::get_u32(flat, pos);
+    DYNMPI_REQUIRE(nrows <= (flat.size() - pos) / kRowHeaderBytes,
+                   "row count exceeds the flat buffer");
+    for (std::uint32_t k = 0; k < nrows; ++k) {
+        const auto row = static_cast<int>(DistArray::get_u32(flat, pos));
+        const std::uint64_t nbytes = DistArray::get_u64(flat, pos);
+        DYNMPI_REQUIRE(nbytes <= flat.size() - pos, "truncated row body");
+        const auto n = static_cast<std::size_t>(nbytes);
+        f(row, flat.data() + pos, n);
+        pos += n;
+    }
+    DYNMPI_REQUIRE(pos == flat.size(), "trailing bytes after the last row");
+}
 
 }  // namespace dynmpi

@@ -145,6 +145,17 @@ std::uint64_t redist_tag(std::uint64_t seq, std::size_t array_idx, int src,
 
 }  // namespace
 
+void send_rows(msg::Rank& rank, int dst, std::uint64_t wire_tag,
+               const RowPayload& rows) {
+    rank.send_wire(dst, wire_tag, rows.header().data(), rows.header().size(),
+                   rows.bodies());
+}
+
+RowPayload recv_rows(msg::Rank& rank, int src, std::uint64_t wire_tag) {
+    sim::Packet p = rank.recv_wire_packet(src, wire_tag);
+    return {std::move(p.payload), std::move(p.segments)};
+}
+
 RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
                                    std::vector<ArrayInfo>& arrays,
                                    std::uint64_t redist_seq) {
@@ -169,12 +180,11 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
             const RowSet& rows = plan.per_array[k].send_to[i];
             if (rows.empty()) continue;
             const int dst = plan.parties[i];
-            auto payload = arrays[k].array->pack_rows(rows);
+            const RowPayload payload = arrays[k].array->pack_rows(rows);
             at.rows_moved += static_cast<std::uint64_t>(rows.count());
-            at.bytes += payload.size();
+            at.bytes += payload.wire_size();
             ++at.messages;
-            rank.send_wire(dst, redist_tag(redist_seq, k, me, dst),
-                           payload.data(), payload.size());
+            send_rows(rank, dst, redist_tag(redist_seq, k, me, dst), payload);
         }
         stats.rows_moved += at.rows_moved;
         stats.bytes += at.bytes;
@@ -188,9 +198,8 @@ RedistStats execute_redistribution(msg::Rank& rank, const RedistContext& ctx,
         for (std::size_t i = 0; i < np; ++i) {
             if (plan.per_array[k].recv_from[i].empty()) continue;
             const int src = plan.parties[i];
-            auto payload =
-                rank.recv_wire(src, redist_tag(redist_seq, k, src, me));
-            arrays[k].array->unpack_rows(payload);
+            arrays[k].array->unpack_rows(
+                recv_rows(rank, src, redist_tag(redist_seq, k, src, me)));
         }
     }
     const double t_unpacked = observed ? rank.hrtime() : 0.0;

@@ -7,10 +7,11 @@
 // derives exactly which rows it must send to and receive from every peer.
 //
 // Authoritative data for a row lives at its *old owner*; nodes re-fetch even
-// rows they hold as (possibly stale) ghosts.  Execution packs rows (sparse
-// rows are flattened to vectors on the wire), sends eagerly, receives, then
-// drops storage for rows no longer needed — surviving rows are reused in
-// place, which is the point of the §4.1 allocation scheme.
+// rows they hold as (possibly stale) ghosts.  Execution packs rows (dense
+// rows go by reference, sparse rows are flattened into owned bodies), sends
+// eagerly, receives, then drops storage for rows no longer needed —
+// surviving rows are reused in place, which is the point of the §4.1
+// allocation scheme.
 #pragma once
 
 #include <cstdint>
@@ -115,6 +116,14 @@ struct RedistStats {
     double sync_s = 0.0;
     double cleanup_s = 0.0;
 };
+
+/// Send `rows` as one packet: the header is copied onto it and the bodies
+/// ride by reference, so shared dense rows cross without a copy.  Every
+/// count (CPU cost, NIC time, traffic) sees rows.wire_size().
+void send_rows(msg::Rank& rank, int dst, std::uint64_t wire_tag,
+               const RowPayload& rows);
+/// Receive a packet sent by send_rows; the framing is validated.
+RowPayload recv_rows(msg::Rank& rank, int src, std::uint64_t wire_tag);
 
 /// Execute the full plan for all arrays on the calling rank.  Collective
 /// across the union of old and new active sets (every member must call with

@@ -1,6 +1,7 @@
 #include "dynmpi/replica.hpp"
 
-#include "dynmpi/dist_array.hpp"
+#include <cstring>
+
 #include "support/error.hpp"
 
 namespace dynmpi {
@@ -13,46 +14,32 @@ RowSet ReplicaStore::store_blob(std::size_t array_idx,
     DYNMPI_REQUIRE(array_idx < rows_.size(), "replica store: bad array");
     auto& store = rows_[array_idx];
     RowSet stored;
-    std::size_t pos = 0;
-    std::uint32_t nrows = DistArray::get_u32(blob, pos);
-    for (std::uint32_t i = 0; i < nrows; ++i) {
-        int row = static_cast<int>(DistArray::get_u32(blob, pos));
-        std::uint64_t nbytes = DistArray::get_u64(blob, pos);
-        DYNMPI_REQUIRE(pos + nbytes <= blob.size(),
-                       "replica store: truncated blob");
-        auto& slot = store[row];
-        bytes_ -= slot.size();
-        slot.assign(blob.begin() + static_cast<std::ptrdiff_t>(pos),
-                    blob.begin() + static_cast<std::ptrdiff_t>(pos + nbytes));
-        bytes_ += slot.size();
-        pos += nbytes;
-        stored.add(row, row + 1);
-    }
+    RowPayload::for_each_flat(
+        blob, [&](int row, const std::byte* body, std::size_t nbytes) {
+            std::vector<std::byte>& slot = store[row];
+            bytes_ -= slot.size();
+            slot.assign(body, body + nbytes);
+            bytes_ += slot.size();
+            stored.add(row, row + 1);
+        });
     return stored;
 }
 
 // dynmpi-lint: repair-critical
-std::vector<std::byte> ReplicaStore::extract(std::size_t array_idx,
-                                             const RowSet& rows) const {
+RowPayload ReplicaStore::extract(std::size_t array_idx,
+                                 const RowSet& rows) const {
     DYNMPI_REQUIRE(array_idx < rows_.size(), "replica store: bad array");
     const auto& store = rows_[array_idx];
-    std::vector<std::byte> out;
-    std::uint32_t count = 0;
-    DistArray::put_u32(out, 0); // patched below
+    RowPayload out;
     for (const auto& iv : rows.intervals()) {
         for (int r = iv.lo; r < iv.hi; ++r) {
             auto it = store.find(r);
             if (it == store.end()) continue;
-            DistArray::put_u32(out, static_cast<std::uint32_t>(r));
-            DistArray::put_u64(out, it->second.size());
-            out.insert(out.end(), it->second.begin(), it->second.end());
-            ++count;
+            const std::vector<std::byte>& slot = it->second;
+            std::byte* body = out.add_owned(r, slot.size());
+            if (!slot.empty()) std::memcpy(body, slot.data(), slot.size());
         }
     }
-    // Patch the row count now that we know it.
-    std::vector<std::byte> header;
-    DistArray::put_u32(header, count);
-    std::copy(header.begin(), header.end(), out.begin());
     return out;
 }
 
@@ -65,21 +52,6 @@ RowSet ReplicaStore::rows_held(std::size_t array_idx,
         for (int r = iv.lo; r < iv.hi; ++r)
             if (store.count(r)) held.add(r, r + 1);
     return held;
-}
-
-RowSet ReplicaStore::rows_in_blob(const std::vector<std::byte>& blob) {
-    RowSet rows;
-    std::size_t pos = 0;
-    std::uint32_t nrows = DistArray::get_u32(blob, pos);
-    for (std::uint32_t i = 0; i < nrows; ++i) {
-        int row = static_cast<int>(DistArray::get_u32(blob, pos));
-        std::uint64_t nbytes = DistArray::get_u64(blob, pos);
-        DYNMPI_REQUIRE(pos + nbytes <= blob.size(),
-                       "replica blob: truncated row");
-        pos += nbytes;
-        rows.add(row, row + 1);
-    }
-    return rows;
 }
 
 void ReplicaStore::retain_only(std::size_t array_idx, const RowSet& keep) {

@@ -1,11 +1,11 @@
 // Diskless buddy replication (docs/FAULTS.md "Crashes" section).
 //
 // Each active node shadows its owned rows of every registered array onto its
-// replication buddy — the successor in the active ring.  The store keeps the
-// packed payload of each replicated row verbatim, so restoring after the
-// owner's crash is a straight re-frame of the buddy's copies back into the
-// shared pack wire format (u32 nrows, then per row u32 row_id,
-// u64 payload_bytes, payload — see dist_array.hpp).
+// replication buddy — the successor in the active ring.  Refreshes ship
+// the flat RowPayload form (see dist_array.hpp) and the store keeps a byte
+// copy of each row's body, never a share of the owner's live row.
+// Restoring after the owner's crash re-frames the buddy's copies as a
+// RowPayload again.
 //
 // The store is deliberately dumb: it does no messaging and knows nothing
 // about ownership.  The runtime decides what to ship (dirty-row deltas on
@@ -18,6 +18,7 @@
 #include <map>
 #include <vector>
 
+#include "dynmpi/dist_array.hpp"
 #include "dynmpi/row_set.hpp"
 
 namespace dynmpi {
@@ -26,22 +27,18 @@ class ReplicaStore {
 public:
     explicit ReplicaStore(std::size_t num_arrays);
 
-    /// Absorb a pack-format blob for array `array_idx`, replacing any
-    /// previous copy of each contained row.  Returns the rows stored.
+    /// Absorb a flat RowPayload for array `array_idx`, copying each body
+    /// and replacing any previous copy of its row.  Returns the rows stored.
     RowSet store_blob(std::size_t array_idx,
                       const std::vector<std::byte>& blob);
 
-    /// Re-frame the stored copies of `rows` (those present) as a
-    /// pack-format blob suitable for DistArray::unpack_rows.  Rows the
-    /// store never saw are simply absent from the result.
-    std::vector<std::byte> extract(std::size_t array_idx,
-                                   const RowSet& rows) const;
+    /// Fresh copies of the stored `rows` (those present), ready for
+    /// DistArray::unpack_rows.  Rows the store never saw are simply absent
+    /// from the result.
+    RowPayload extract(std::size_t array_idx, const RowSet& rows) const;
 
     /// Rows of `array_idx` currently replicated within `scope`.
     RowSet rows_held(std::size_t array_idx, const RowSet& scope) const;
-
-    /// Row ids framed in a pack-format blob (no payload copies).
-    static RowSet rows_in_blob(const std::vector<std::byte>& blob);
 
     /// Drop replicas of `array_idx` outside `keep`.
     void retain_only(std::size_t array_idx, const RowSet& keep);
@@ -50,8 +47,8 @@ public:
     std::size_t bytes() const { return bytes_; }
 
 private:
-    // Per array: row id → packed payload.  Ordered so extraction (and thus
-    // restore traffic) is deterministic.
+    // Per array: row id → copy of the row body.  Ordered so extraction (and
+    // thus restore traffic) is deterministic.
     std::vector<std::map<int, std::vector<std::byte>>> rows_;
     std::size_t bytes_ = 0;
 };

@@ -637,7 +637,8 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
         auto i = static_cast<std::size_t>(replica_arrays_sent_);
         DistArray& a = *arrays_[i].array;
         RowSet rows = wholesale ? owned : a.dirty_rows(owned);
-        std::vector<std::byte> blob = a.pack_rows(rows);
+        // Replicas travel in the flat form: the buddy keeps byte copies.
+        std::vector<std::byte> blob = a.pack_rows(rows).flatten();
         rank_.send_wire(succ, replica_tag(wholesale, salt, i), blob.data(),
                         blob.size());
         a.clear_dirty(rows);
@@ -688,9 +689,8 @@ void Runtime::perform_pending_restores() {
             // the adopter's retried receives match these exact packets.
             while (pr.arrays_done < static_cast<int>(arrays_.size())) {
                 auto i = static_cast<std::size_t>(pr.arrays_done);
-                auto blob = replicas_->extract(i, pr.rows);
-                rank_.send_wire(pr.adopter, restore_tag(pr.dead, pr.gen, i),
-                                blob.data(), blob.size());
+                send_rows(rank_, pr.adopter, restore_tag(pr.dead, pr.gen, i),
+                          replicas_->extract(i, pr.rows));
                 ++pr.arrays_done;
             }
         } else if (is_adopter) {
@@ -703,13 +703,12 @@ void Runtime::perform_pending_restores() {
                     pr.missing = pr.rows;
                     break;
                 }
-                std::vector<std::byte> blob =
+                RowPayload copies =
                     is_buddy ? replicas_->extract(i, pr.rows)
-                             : rank_.recv_wire(pr.buddy,
-                                               restore_tag(pr.dead, pr.gen,
-                                                           i));
-                RowSet got = ReplicaStore::rows_in_blob(blob);
-                arrays_[i].array->unpack_rows(blob);
+                             : recv_rows(rank_, pr.buddy,
+                                         restore_tag(pr.dead, pr.gen, i));
+                RowSet got = copies.rows();
+                arrays_[i].array->unpack_rows(copies);
                 pr.missing = pr.missing.unite(pr.rows.subtract(got));
                 ++pr.arrays_done;
             }

@@ -128,66 +128,54 @@ void SparseMatrix::Cursor::advance_row() {
 // DistArray interface
 // ---------------------------------------------------------------------------
 
-std::vector<std::byte> SparseMatrix::pack_rows(const RowSet& rows) const {
-    // Pack each linked-list row into the flat wire vector (paper §4.4: a row
-    // "must be packed into a vector" before transfer).  The buffer is sized
-    // by an exact precount so the write pass never reallocates, and rows_ is
-    // ordered, so each interval is one lower_bound plus a linear walk instead
-    // of a map lookup per row.
-    std::size_t total = 4;
+RowPayload SparseMatrix::pack_rows(const RowSet& rows) const {
+    // Pack each linked-list row into its own flat body (paper §4.4: a row
+    // "must be packed into a vector" before transfer).  rows_ is ordered, so
+    // each interval is one lower_bound plus a linear walk instead of a map
+    // lookup per row.
+    RowPayload out(static_cast<std::size_t>(rows.count()));
     for (const RowInterval& iv : rows.intervals()) {
         auto it = rows_.lower_bound(iv.lo);
         for (int r = iv.lo; r < iv.hi; ++r, ++it) {
             DYNMPI_REQUIRE(it != rows_.end() && it->first == r,
                            "access to non-held row of " + name_);
-            total += 12 + it->second.size() * sizeof(SparseEntry);
-        }
-    }
-    std::vector<std::byte> out;
-    out.reserve(total);
-    put_u32(out, static_cast<std::uint32_t>(rows.count()));
-    for (const RowInterval& iv : rows.intervals()) {
-        auto it = rows_.lower_bound(iv.lo);
-        for (int r = iv.lo; r < iv.hi; ++r, ++it) {
             const RowList& list = it->second;
-            put_u32(out, static_cast<std::uint32_t>(r));
-            put_u64(out, list.size() * sizeof(SparseEntry));
+            std::byte* body =
+                out.add_owned(r, list.size() * sizeof(SparseEntry));
             for (const auto& e : list) {
-                std::byte b[sizeof(SparseEntry)];
-                std::memcpy(b, &e, sizeof(SparseEntry));
-                out.insert(out.end(), b, b + sizeof(SparseEntry));
+                std::memcpy(body, &e, sizeof(SparseEntry));
+                body += sizeof(SparseEntry);
             }
         }
     }
-    stats_.bytes_packed += out.size();
+    stats_.bytes_packed += out.wire_size();
     return out;
 }
 
-void SparseMatrix::unpack_rows(const std::vector<std::byte>& data) {
-    std::size_t pos = 0;
-    std::uint32_t nrows = get_u32(data, pos);
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        int r = static_cast<int>(get_u32(data, pos));
+void SparseMatrix::unpack_rows(const RowPayload& rows) {
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int r = rows.row_id(k);
         DYNMPI_REQUIRE(r >= 0 && r < global_rows_,
                        "unpacked row id out of range for " + name_);
-        std::uint64_t nbytes = get_u64(data, pos);
-        DYNMPI_REQUIRE(nbytes % sizeof(SparseEntry) == 0,
+        DYNMPI_REQUIRE(rows.body(k).size() % sizeof(SparseEntry) == 0,
                        "sparse row payload not a whole number of entries");
-        DYNMPI_REQUIRE(pos + nbytes <= data.size(), "truncated sparse row");
-        std::size_t count = nbytes / sizeof(SparseEntry);
+    }
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int r = rows.row_id(k);
+        const sim::SharedBytes& body = rows.body(k);
         auto [it, inserted] = rows_.try_emplace(r);
         if (inserted) ++stats_.rows_allocated;
         it->second.clear();
-        for (std::size_t i = 0; i < count; ++i) {
+        for (std::size_t off = 0; off < body.size();
+             off += sizeof(SparseEntry)) {
             SparseEntry e;
-            std::memcpy(&e, data.data() + pos, sizeof(SparseEntry));
-            pos += sizeof(SparseEntry);
+            std::memcpy(&e, body.data() + off, sizeof(SparseEntry));
             it->second.push_back(e); // wire order is column order
         }
         held_.add(r, r + 1);
         mark_row_dirty(r);
     }
-    stats_.bytes_unpacked += data.size();
+    stats_.bytes_unpacked += rows.wire_size();
 }
 
 void SparseMatrix::drop_rows(const RowSet& rows) {

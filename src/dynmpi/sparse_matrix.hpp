@@ -3,7 +3,7 @@
 // Each held row is a linked list of (column id, value) pairs kept sorted by
 // column.  The format mirrors the dense scheme as closely as possible: the
 // distributed dimension is a per-row table, and an "extended row" is the
-// list.  Redistribution packs a row's list into a flat vector for the wire
+// list.  Redistribution packs a row's list into a flat body for the wire
 // and rebuilds the list on receipt (paper §4.4) — data *and* metadata move
 // together.
 //
@@ -96,8 +96,8 @@ public:
     Cursor cursor() { return Cursor(*this); }
 
     // ---- DistArray ----
-    std::vector<std::byte> pack_rows(const RowSet& rows) const override;
-    void unpack_rows(const std::vector<std::byte>& data) override;
+    RowPayload pack_rows(const RowSet& rows) const override;
+    void unpack_rows(const RowPayload& rows) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
     std::size_t nominal_row_bytes() const override {

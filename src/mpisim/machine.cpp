@@ -295,12 +295,12 @@ void Machine::on_delivery(sim::Packet&& p) {
     const int dst = p.dst;
     if (p.control) {
         ++traffic_.control_messages;
-        traffic_.control_bytes += p.payload.size();
+        traffic_.control_bytes += p.wire_size();
     } else {
         auto space = static_cast<std::size_t>(tag_space(p.tag));
         DYNMPI_CHECK(space < 3, "unknown tag space");
         ++traffic_.messages[space];
-        traffic_.bytes[space] += p.payload.size();
+        traffic_.bytes[space] += p.wire_size();
     }
     RankState& rs = state(dst);
     if (rs.recv_waiting) {

@@ -64,12 +64,16 @@ void Rank::charge_recv_cost(std::size_t bytes) {
 }
 
 void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
-                     std::size_t bytes) {
+                     std::size_t bytes,
+                     const std::vector<sim::SharedBytes>& segments) {
     DYNMPI_REQUIRE(dst >= 0 && dst < size(), "send to invalid rank");
     // CPU component of communication: packetization + copy, shared with any
     // competing processes on this node.  Control-plane traffic is daemon
-    // work, not application work.
-    if (!control_mode_) compute(net_params().cpu_cost(bytes));
+    // work, not application work.  Shared segments are charged as if
+    // copied: the model prices the wire bytes, not the host's copies.
+    std::size_t wire_bytes = bytes;
+    for (const sim::SharedBytes& s : segments) wire_bytes += s.size();
+    if (!control_mode_) compute(net_params().cpu_cost(wire_bytes));
     const int retries = std::max(0, net_params().send_retries);
     for (int attempt = 0; ; ++attempt) {
         sim::Packet p;
@@ -80,6 +84,7 @@ void Rank::send_wire(int dst, std::uint64_t wire_tag, const void* data,
         p.payload.resize(bytes);
         if (bytes > 0)
             std::memcpy(p.payload.data(), data, bytes);
+        p.segments = segments;
         if (machine_.cluster().network().transmit(std::move(p))) return;
         // Transient send failure: bounded retry with exponential backoff.
         // Retried packets are byte-identical, so a duplicate that does get
@@ -160,7 +165,7 @@ std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
     sim::Packet p = recv_packet(src, wt, any_tag);
     DYNMPI_REQUIRE(p.payload.size() <= capacity,
                    "recv buffer too small for message");
-    charge_recv_cost(p.payload.size());
+    charge_recv_cost(p.wire_size());
     if (!p.payload.empty())
         std::memcpy(data, p.payload.data(), p.payload.size());
     if (out_src) *out_src = p.src;
@@ -214,7 +219,7 @@ std::size_t Rank::wait(Request& req) {
     sim::Packet p = recv_packet(req.peer_, req.wire_tag_, req.any_tag_);
     DYNMPI_REQUIRE(p.payload.size() <= req.capacity_,
                    "irecv buffer too small for message");
-    charge_recv_cost(p.payload.size());
+    charge_recv_cost(p.wire_size());
     if (!p.payload.empty())
         std::memcpy(req.buffer_, p.payload.data(), p.payload.size());
     req.received_ = p.payload.size();
@@ -245,9 +250,16 @@ void Rank::waitall(std::vector<Request>& reqs) {
     for (auto& r : reqs) wait(r);
 }
 
-std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
+sim::Packet Rank::recv_wire_packet(int src, std::uint64_t wire_tag) {
     sim::Packet p = recv_packet(src, wire_tag, false);
-    charge_recv_cost(p.payload.size());
+    charge_recv_cost(p.wire_size());
+    return p;
+}
+
+std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
+    sim::Packet p = recv_wire_packet(src, wire_tag);
+    DYNMPI_CHECK(p.segments.empty(),
+                 "segmented packet received through the flat recv_wire");
     return std::move(p.payload);
 }
 

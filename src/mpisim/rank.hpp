@@ -96,7 +96,7 @@ public:
     std::vector<T> recv_vector(int src, int tag) {
         static_assert(std::is_trivially_copyable_v<T>);
         sim::Packet p = recv_packet(src, wire_tag(tag), false);
-        charge_recv_cost(p.payload.size());
+        charge_recv_cost(p.wire_size());
         std::vector<T> v(p.payload.size() / sizeof(T));
         std::memcpy(v.data(), p.payload.data(), p.payload.size());
         return v;
@@ -131,8 +131,16 @@ public:
 
     // ---- internal-tagged traffic (collectives / Dyn-MPI runtime) ----
 
+    /// Send `bytes` from `data`, copied, followed by `segments`, which ride
+    /// by reference (see sim::Packet).  CPU cost, NIC timing and traffic
+    /// counters all see the packet's wire_size(), so sharing a body instead
+    /// of copying it changes no virtual result.
     void send_wire(int dst, std::uint64_t wire_tag, const void* data,
-                   std::size_t bytes);
+                   std::size_t bytes,
+                   const std::vector<sim::SharedBytes>& segments = {});
+    /// Receive a whole packet: inline payload plus segments.
+    sim::Packet recv_wire_packet(int src, std::uint64_t wire_tag);
+    /// Receive a packet sent without segments; returns its payload.
     std::vector<std::byte> recv_wire(int src, std::uint64_t wire_tag);
 
     // ---- control plane (daemon-band traffic) ----

@@ -61,8 +61,9 @@ bool Network::transmit(Packet&& p) {
         ++send_failures_;
         return false;
     }
+    const std::size_t wire_bytes = p.wire_size();
     ++messages_;
-    bytes_ += p.payload.size();
+    bytes_ += wire_bytes;
 
     SimTime deliver_at;
     if (p.src == p.dst) {
@@ -73,7 +74,7 @@ bool Network::transmit(Packet&& p) {
     } else {
         SimTime start = std::max(engine_.now(),
                                  nic_free_[static_cast<std::size_t>(p.src)]);
-        SimTime xfer = from_seconds(static_cast<double>(p.payload.size()) /
+        SimTime xfer = from_seconds(static_cast<double>(wire_bytes) /
                                     params_.bandwidth_Bps);
         nic_free_[static_cast<std::size_t>(p.src)] = start + xfer;
         deliver_at =

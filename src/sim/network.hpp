@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/shared_bytes.hpp"
 #include "sim/time.hpp"
 
 namespace dynmpi::sim {
@@ -46,6 +47,19 @@ struct Packet {
     /// and coordination data out-of-band (paper §4.2).
     bool control = false;
     std::vector<std::byte> payload;
+    /// Bodies that follow `payload` on the wire, shared rather than copied.
+    /// The packet holds a share of each, so a body stays intact in flight
+    /// even if its sender writes (copy-on-write), frees it, or crashes.
+    std::vector<SharedBytes> segments;
+
+    /// Bytes on the wire: the payload plus every segment.  Timing, traffic
+    /// counters and CPU costs all use this one count, so a segmented packet
+    /// is indistinguishable from a flat one of the same size.
+    std::size_t wire_size() const {
+        std::size_t bytes = payload.size();
+        for (const SharedBytes& s : segments) bytes += s.size();
+        return bytes;
+    }
 };
 
 class Network {
@@ -63,7 +77,8 @@ public:
     /// Returns false iff the send failed transiently (an armed fault token
     /// was consumed) — the caller may retry.  Packets touching a crashed
     /// node are dropped silently but "succeed": a dead peer looks exactly
-    /// like an unresponsive one to the sender.
+    /// like an unresponsive one to the sender.  The packet's size is its
+    /// wire_size().
     bool transmit(Packet&& p);
 
     // ---- fault hooks ----

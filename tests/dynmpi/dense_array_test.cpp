@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/error.hpp"
 
 namespace dynmpi {
@@ -75,7 +77,7 @@ TEST(DenseArray, UnpackOverwritesExistingRows) {
     dst.ensure_rows(RowSet(0, 1)); // zeroed
     dst.unpack_rows(src.pack_rows(RowSet(0, 1)));
     expect_filled(dst, 0);
-    EXPECT_EQ(dst.stats().rows_allocated, 1u); // reused, not reallocated
+    EXPECT_EQ(dst.stats().rows_allocated, 1u); // adopted, not reallocated
 }
 
 TEST(DenseArray, PackNonContiguousRows) {
@@ -115,6 +117,180 @@ TEST(DenseArray, ProjectionDoesNotCopyOnGrowth) {
     a.ensure_rows(RowSet(100, 900));
     EXPECT_EQ(a.row_data(50), before);
     EXPECT_EQ(a.stats().bytes_copied, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Row codec and shared bodies
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> from_hex(const std::string& hex) {
+    std::vector<std::byte> out;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+        out.push_back(static_cast<std::byte>(
+            std::stoi(hex.substr(i, 2), nullptr, 16)));
+    return out;
+}
+
+void put32(std::vector<std::byte>& out, std::uint32_t v) {
+    DistArray::put_u32(out, v);
+}
+void put64(std::vector<std::byte>& out, std::uint64_t v) {
+    DistArray::put_u64(out, v);
+}
+
+TEST(RowCodec, FlattenMatchesTheFlatWireFormat) {
+    // Golden bytes: the flat pack format of rows {1, 2, 5} of a 2-double
+    // array, row r holding (r, r + 0.25), as packed before row bodies were
+    // shared (x86-64, little-endian).
+    DenseArray a("A", 8, 2, sizeof(double));
+    RowSet rows;
+    rows.add(1, 3);
+    rows.add(5, 6);
+    a.ensure_rows(rows);
+    for (int r : rows.to_vector())
+        for (int j = 0; j < 2; ++j) a.at<double>(r, j) = r + 0.25 * j;
+    const std::vector<std::byte> golden = from_hex(
+        "03000000010000001000000000000000"
+        "000000000000f03f000000000000f43f"
+        "02000000100000000000000000000000"
+        "00000040000000000000024005000000"
+        "10000000000000000000000000001440"
+        "0000000000001540");
+    RowPayload payload = a.pack_rows(rows);
+    EXPECT_EQ(payload.flatten(), golden);
+    EXPECT_EQ(payload.wire_size(), golden.size());
+    // parse() reads the same bytes back to an equivalent payload.
+    RowPayload parsed = RowPayload::parse(golden);
+    EXPECT_EQ(parsed.header(), payload.header());
+    EXPECT_EQ(parsed.flatten(), golden);
+    EXPECT_EQ(parsed.rows(), rows);
+}
+
+TEST(RowCodec, ByReferenceUnpackSharesTheBody) {
+    auto src = make(), dst = make();
+    src.ensure_rows(RowSet(2, 4));
+    fill(src, 2);
+    fill(src, 3);
+    const std::uint64_t allocated = dst.stats().rows_allocated;
+    dst.unpack_rows(src.pack_rows(RowSet(2, 4)));
+    const DenseArray& csrc = src;
+    const DenseArray& cdst = dst;
+    EXPECT_EQ(cdst.row_data(2), csrc.row_data(2));
+    EXPECT_EQ(cdst.row_data(3), csrc.row_data(3));
+    EXPECT_EQ(dst.stats().rows_allocated, allocated); // adopted, no copy
+    expect_filled(dst, 3);
+}
+
+TEST(RowCodec, CopyOnWriteIsolatesBothSides) {
+    auto src = make(), dst = make();
+    src.ensure_rows(RowSet(0, 2));
+    fill(src, 0);
+    fill(src, 1);
+    dst.unpack_rows(src.pack_rows(RowSet(0, 2)));
+
+    // The receiver writes: it gets a private copy, the sender is untouched.
+    dst.at<double>(0, 1) = -1.0;
+    expect_filled(src, 0);
+    EXPECT_DOUBLE_EQ(dst.at<double>(0, 1), -1.0);
+    EXPECT_EQ(dst.stats().bytes_copied, dst.row_bytes());
+
+    // The sender writes a still-shared row: the receiver keeps the old data.
+    src.at<double>(1, 0) = -2.0;
+    expect_filled(dst, 1);
+    EXPECT_DOUBLE_EQ(src.at<double>(1, 0), -2.0);
+    const DenseArray& csrc = src;
+    const DenseArray& cdst = dst;
+    EXPECT_NE(cdst.row_data(0), csrc.row_data(0));
+    EXPECT_NE(cdst.row_data(1), csrc.row_data(1));
+
+    // A body with a single owner is written in place.
+    const std::byte* before = cdst.row_data(0);
+    dst.at<double>(0, 2) = -3.0;
+    EXPECT_EQ(cdst.row_data(0), before);
+}
+
+TEST(RowCodec, PackedPayloadOutlivesTheSendersWrites) {
+    // A packed payload is a snapshot: writes after pack_rows do not leak
+    // into it, so a packet in flight carries the rows as they were sent.
+    auto src = make();
+    src.ensure_rows(RowSet(4, 5));
+    fill(src, 4);
+    RowPayload inflight = src.pack_rows(RowSet(4, 5));
+    src.at<double>(4, 0) = 99.0;
+    src.drop_rows(RowSet(4, 5));
+    auto dst = make();
+    dst.unpack_rows(inflight);
+    expect_filled(dst, 4);
+}
+
+RowPayload one_row_payload(std::uint32_t id, std::uint64_t nbytes,
+                           std::size_t body_bytes) {
+    std::vector<std::byte> header;
+    put32(header, 1);
+    put32(header, id);
+    put64(header, nbytes);
+    std::vector<sim::SharedBytes> bodies;
+    bodies.push_back(sim::SharedBytes::allocate(body_bytes, true));
+    return {std::move(header), std::move(bodies)};
+}
+
+TEST(RowCodec, UnpackRejectsMalformedPayloads) {
+    const std::size_t rb = make().row_bytes();
+    // Bad row id (past the end, and negative once decoded).
+    {
+        auto dst = make();
+        EXPECT_THROW(dst.unpack_rows(one_row_payload(16, rb, rb)), Error);
+        EXPECT_THROW(dst.unpack_rows(one_row_payload(0xFFFFFFFFu, rb, rb)),
+                     Error);
+        EXPECT_TRUE(dst.held().empty());
+    }
+    // Size mismatch: a consistent payload whose rows are not this array's.
+    {
+        auto dst = make();
+        EXPECT_THROW(dst.unpack_rows(one_row_payload(3, rb / 2, rb / 2)),
+                     Error);
+        EXPECT_TRUE(dst.held().empty());
+    }
+    // Header and body disagree on a row's size.
+    EXPECT_THROW(one_row_payload(3, rb, rb / 2), Error);
+    // Count/body mismatch: two header entries, one body.
+    {
+        std::vector<std::byte> header;
+        put32(header, 2);
+        for (std::uint32_t r : {1u, 2u}) {
+            put32(header, r);
+            put64(header, rb);
+        }
+        std::vector<sim::SharedBytes> bodies;
+        bodies.push_back(sim::SharedBytes::allocate(rb, true));
+        EXPECT_THROW(RowPayload(std::move(header), std::move(bodies)), Error);
+    }
+    // Trailing header bytes after the last entry.
+    {
+        std::vector<std::byte> header;
+        put32(header, 1);
+        put32(header, 1);
+        put64(header, rb);
+        put32(header, 0);
+        std::vector<sim::SharedBytes> bodies;
+        bodies.push_back(sim::SharedBytes::allocate(rb, true));
+        EXPECT_THROW(RowPayload(std::move(header), std::move(bodies)), Error);
+    }
+    // Missing body: the header promises bytes, the segment is empty.
+    {
+        std::vector<std::byte> header;
+        put32(header, 1);
+        put32(header, 1);
+        put64(header, rb);
+        std::vector<sim::SharedBytes> bodies(1);
+        EXPECT_THROW(RowPayload(std::move(header), std::move(bodies)), Error);
+    }
+    // The flat form rejects trailing bytes after the last row.
+    auto src = make();
+    src.ensure_rows(RowSet(0, 1));
+    auto flat = src.pack_rows(RowSet(0, 1)).flatten();
+    flat.push_back(std::byte{0});
+    EXPECT_THROW(RowPayload::parse(flat), Error);
 }
 
 // ---------------------------------------------------------------------------

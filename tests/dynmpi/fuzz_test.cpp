@@ -23,14 +23,14 @@ std::vector<std::byte> packed_dense() {
     a.ensure_rows(RowSet(0, 4));
     for (int r = 0; r < 4; ++r)
         for (int j = 0; j < 4; ++j) a.at<double>(r, j) = r + j;
-    return a.pack_rows(RowSet(0, 4));
+    return a.pack_rows(RowSet(0, 4)).flatten();
 }
 
 std::vector<std::byte> packed_sparse() {
     SparseMatrix m("S", 8, 16);
     m.ensure_rows(RowSet(0, 4));
     for (int r = 0; r < 4; ++r) m.set(r, (r * 3) % 16, 1.5 * r);
-    return m.pack_rows(RowSet(0, 4));
+    return m.pack_rows(RowSet(0, 4)).flatten();
 }
 
 TEST(Fuzz, TruncatedDenseBufferRejected) {
@@ -40,7 +40,8 @@ TEST(Fuzz, TruncatedDenseBufferRejected) {
         std::vector<std::byte> bad(good.begin(),
                                    good.begin() + (std::ptrdiff_t)cut);
         DenseArray dst("A", 8, 4, sizeof(double));
-        EXPECT_THROW(dst.unpack_rows(bad), Error) << "cut=" << cut;
+        EXPECT_THROW(dst.unpack_rows(RowPayload::parse(bad)), Error)
+            << "cut=" << cut;
     }
 }
 
@@ -50,14 +51,15 @@ TEST(Fuzz, TruncatedSparseBufferRejected) {
         std::vector<std::byte> bad(
             good.begin(), good.begin() + (std::ptrdiff_t)(good.size() * frac / 8));
         SparseMatrix dst("S", 8, 16);
-        EXPECT_THROW(dst.unpack_rows(bad), Error) << "frac=" << frac;
+        EXPECT_THROW(dst.unpack_rows(RowPayload::parse(bad)), Error)
+            << "frac=" << frac;
     }
 }
 
 TEST(Fuzz, WrongRowSizeRejected) {
     auto good = packed_dense();
     DenseArray narrow("A", 8, 2, sizeof(double)); // rows half the size
-    EXPECT_THROW(narrow.unpack_rows(good), Error);
+    EXPECT_THROW(narrow.unpack_rows(RowPayload::parse(good)), Error);
 }
 
 TEST(Fuzz, SparsePayloadNotEntireEntriesRejected) {
@@ -67,7 +69,7 @@ TEST(Fuzz, SparsePayloadNotEntireEntriesRejected) {
     std::uint64_t bogus = 13;
     std::memcpy(good.data() + 8, &bogus, sizeof bogus);
     SparseMatrix dst("S", 8, 16);
-    EXPECT_THROW(dst.unpack_rows(good), Error);
+    EXPECT_THROW(dst.unpack_rows(RowPayload::parse(good)), Error);
 }
 
 TEST(Fuzz, RandomBuffersNeverCrash) {
@@ -80,13 +82,13 @@ TEST(Fuzz, RandomBuffersNeverCrash) {
         DenseArray d("A", 8, 4, sizeof(double));
         SparseMatrix s("S", 8, 16);
         try {
-            d.unpack_rows(junk);
+            d.unpack_rows(RowPayload::parse(junk));
             ++accepted;
         } catch (const Error&) {
             ++rejected;
         }
         try {
-            s.unpack_rows(junk);
+            s.unpack_rows(RowPayload::parse(junk));
             ++accepted;
         } catch (const Error&) {
             ++rejected;
@@ -107,7 +109,7 @@ TEST(Fuzz, MutatedValidBufferEitherRejectedOrConsistent) {
         mutated[pos] = static_cast<std::byte>(rng.next_below(256));
         DenseArray dst("A", 8, 4, sizeof(double));
         try {
-            dst.unpack_rows(mutated);
+            dst.unpack_rows(RowPayload::parse(mutated));
             // If accepted, the array must be internally consistent: every
             // held row readable.
             for (int r : dst.held().to_vector())

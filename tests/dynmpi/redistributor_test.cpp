@@ -313,5 +313,57 @@ TEST(RedistExec, IdentityRedistributionRefreshesGhostsOnly) {
     });
 }
 
+TEST(RedistExec, DropAdoptsDenseRowsWithoutAllocating) {
+    // Node 2 drops out: its rows go to node 1, which passes its low rows to
+    // node 0.  Receivers adopt the shipped bodies instead of allocating
+    // their own, while the bytes on the wire stay those of the flat format.
+    constexpr int kRows = 30;
+    constexpr int kElems = 8;
+    constexpr std::uint64_t kRowBytes = kElems * sizeof(double);
+    msg::Machine m(cfg(3));
+    std::vector<RedistStats> stats(3);
+    std::vector<std::uint64_t> allocated(3);
+    m.run([&](msg::Rank& r) {
+        Group oldg({0, 1, 2});
+        Group newg({0, 1});
+        auto oldd = Distribution::block(0, kRows, {10, 10, 10});
+        auto newd = Distribution::block(0, kRows, {15, 15});
+
+        std::vector<ArrayInfo> arrays;
+        ArrayInfo ai;
+        ai.array = std::make_unique<DenseArray>("A", kRows, kElems,
+                                                sizeof(double));
+        ai.accesses = {Drsd{"A", AccessMode::Write, 0, 1, 0}};
+        arrays.push_back(std::move(ai));
+        auto& A = static_cast<DenseArray&>(*arrays[0].array);
+        A.ensure_rows(owned_rows(oldg, oldd, r.id()));
+        for (int row : owned_rows(oldg, oldd, r.id()).to_vector())
+            for (int j = 0; j < kElems; ++j)
+                A.at<double>(row, j) = row * 100.0 + j;
+
+        const std::uint64_t before = A.stats().rows_allocated;
+        RedistContext ctx{kRows, &oldg, &oldd, &newg, &newd};
+        const auto id = static_cast<std::size_t>(r.id());
+        stats[id] = execute_redistribution(r, ctx, arrays, 5);
+        allocated[id] = A.stats().rows_allocated - before;
+
+        EXPECT_EQ(A.held(), owned_rows(newg, newd, r.id()));
+        for (int row : A.held().to_vector())
+            for (int j = 0; j < kElems; ++j)
+                EXPECT_DOUBLE_EQ(A.at<double>(row, j), row * 100.0 + j);
+    });
+    EXPECT_EQ(allocated[0], 0u); // received rows 10..14
+    EXPECT_EQ(allocated[1], 0u); // received rows 20..29
+    // One message each from node 1 (5 rows) and node 2 (10 rows).
+    EXPECT_EQ(stats[0].messages, 0u);
+    EXPECT_EQ(stats[1].messages, 1u);
+    EXPECT_EQ(stats[1].bytes, 4 + 5 * (12 + kRowBytes));
+    EXPECT_EQ(stats[2].messages, 1u);
+    EXPECT_EQ(stats[2].bytes, 4 + 10 * (12 + kRowBytes));
+    EXPECT_EQ(m.traffic().bytes[static_cast<std::size_t>(
+                  msg::TagSpace::Runtime)],
+              stats[1].bytes + stats[2].bytes);
+}
+
 }  // namespace
 }  // namespace dynmpi

@@ -132,7 +132,7 @@ TEST(SparseMatrix, UnpackRejectsNegativeRowId) {
     put32(blob, 0xFFFFFFFFu); // row id -1
     put64(blob, 0);           // empty payload
     auto dst = make();
-    EXPECT_THROW(dst.unpack_rows(blob), Error);
+    EXPECT_THROW(dst.unpack_rows(RowPayload::parse(blob)), Error);
     EXPECT_TRUE(dst.held().empty());
 }
 

@@ -110,5 +110,33 @@ TEST_F(NetFixture, WireTimeModelMatchesDelivery) {
     EXPECT_NEAR(to_seconds(times[0]), net->wire_time(bytes), 1e-9);
 }
 
+TEST_F(NetFixture, SegmentedPacketTimedAndCountedLikeFlat) {
+    // 1000 inline bytes plus two shared segments: 125000 bytes on the wire,
+    // exactly like the flat packet beside it.
+    auto net = make();
+    Packet seg = make_packet(2, 3, 1000);
+    seg.segments.push_back(SharedBytes::allocate(100000, true));
+    seg.segments.push_back(SharedBytes::allocate(24000, true));
+    const std::byte* body = seg.segments[0].data();
+    Packet flat = make_packet(0, 1, 125000);
+    ASSERT_EQ(seg.wire_size(), flat.wire_size());
+    net->transmit(std::move(flat));
+    net->transmit(std::move(seg));
+    // Same sender NIC twice: each occupies it for its full wire size.
+    Packet seg2 = make_packet(2, 1, 0);
+    seg2.segments.push_back(SharedBytes::allocate(125000, true));
+    net->transmit(std::move(seg2));
+    e.run();
+    ASSERT_EQ(times.size(), 3u);
+    EXPECT_EQ(times[0], times[1]);
+    EXPECT_NEAR(to_seconds(times[1]), params.latency_s + 0.01, 1e-9);
+    EXPECT_NEAR(to_seconds(times[2]) - to_seconds(times[1]), 0.01, 1e-9);
+    EXPECT_EQ(net->messages_sent(), 3u);
+    EXPECT_EQ(net->bytes_sent(), 3u * 125000u);
+    // The body arrives by reference, not as a copy.
+    ASSERT_EQ(delivered[1].segments.size(), 2u);
+    EXPECT_EQ(delivered[1].segments[0].data(), body);
+}
+
 }  // namespace
 }  // namespace dynmpi::sim

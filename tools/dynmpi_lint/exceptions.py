@@ -17,12 +17,14 @@ from . import Finding
 # msg::Rank / msg::Machine entry points (and the collective helpers built on
 # them) that can surface NodeCrashed / PeerFailure / EpochRevoked.
 _THROWING = (
-    "send_wire|recv_wire|sendrecv|send_value|recv_value|send_vector"
+    "send_wire|recv_wire_packet|recv_wire|sendrecv|send_value|recv_value"
+    "|send_vector"
     "|recv_vector|send|recv|isend|irecv|waitall|wait|revoke_control"
     "|sync_revocations|bcast|reduce|allreduce|barrier|gather|allgather")
 _MEMBER_CALL = re.compile(r"(?:\.|->)\s*(" + _THROWING + r")\s*[(<]")
 _FREE_COLLECTIVE = re.compile(
-    r"(?<![\w.>:])(bcast|reduce|allreduce|barrier|gather|allgather)\s*[(<]")
+    r"(?<![\w.>:])(bcast|reduce|allreduce|barrier|gather|allgather"
+    r"|send_rows|recv_rows)\s*[(<]")
 
 # `Class::~Class(...) {` out of line, or `~Class() ... {` inline.
 _DTOR_OUT = re.compile(r"\b(\w+)\s*::\s*~\s*\1\s*\([^)]*\)[^{};]*\{")
