@@ -9,21 +9,21 @@ namespace dynmpi {
 RowPayload::RowPayload(std::size_t rows) {
     header_.reserve(4 + rows * kRowHeaderBytes);
     bodies_.reserve(rows);
-    DistArray::put_u32(header_, 0);
+    wire::Writer(header_).u32(0);
 }
 
 RowPayload::RowPayload(std::vector<std::byte> header,
                        std::vector<sim::SharedBytes> bodies)
     : header_(std::move(header)), bodies_(std::move(bodies)) {
-    std::size_t pos = 0;
-    const std::uint64_t nrows = DistArray::get_u32(header_, pos);
+    wire::Reader in(header_);
+    const std::uint64_t nrows = in.u32();
     DYNMPI_REQUIRE(header_.size() == 4 + nrows * kRowHeaderBytes,
                    "row header length does not match its row count");
     DYNMPI_REQUIRE(bodies_.size() == nrows,
                    "row count does not match the body count");
     for (const sim::SharedBytes& body : bodies_) {
-        pos += 4; // row id: the receiving array checks its range
-        const std::uint64_t nbytes = DistArray::get_u64(header_, pos);
+        in.u32(); // row id: the receiving array checks its range
+        const std::uint64_t nbytes = in.u64();
         DYNMPI_REQUIRE(body || nbytes == 0, "row body missing");
         DYNMPI_REQUIRE(body.size() == nbytes,
                        "row body size does not match its header");
@@ -31,14 +31,9 @@ RowPayload::RowPayload(std::vector<std::byte> header,
 }
 
 void RowPayload::add(int row, sim::SharedBytes body) {
-    const auto nrows = static_cast<std::uint32_t>(bodies_.size() + 1);
-    const auto id = static_cast<std::uint32_t>(row);
-    const std::uint64_t nbytes = body.size();
-    const std::size_t at = header_.size();
-    header_.resize(at + kRowHeaderBytes);
-    std::memcpy(header_.data(), &nrows, 4);
-    std::memcpy(header_.data() + at, &id, 4);
-    std::memcpy(header_.data() + at + 4, &nbytes, 8);
+    wire::Writer out(header_);
+    out.u32(static_cast<std::uint32_t>(row)).u64(body.size());
+    out.patch_u32(0, static_cast<std::uint32_t>(bodies_.size() + 1));
     bodies_.push_back(std::move(body));
 }
 
@@ -50,9 +45,9 @@ std::byte* RowPayload::add_owned(int row, std::size_t nbytes) {
 }
 
 int RowPayload::row_id(std::size_t k) const {
-    std::uint32_t id;
-    std::memcpy(&id, header_.data() + 4 + k * kRowHeaderBytes, 4);
-    return static_cast<int>(id);
+    wire::Reader in(header_);
+    in.skip(4 + k * kRowHeaderBytes);
+    return static_cast<int>(in.u32());
 }
 
 RowSet RowPayload::rows() const {
@@ -131,36 +126,6 @@ void DistArray::clear_dirty(const RowSet& rows) {
     for (const RowInterval& iv : rows.intervals())
         for (int r = iv.lo; r < iv.hi; ++r)
             dirty_[static_cast<std::size_t>(r)] = 0;
-}
-
-void DistArray::put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    std::byte b[4];
-    std::memcpy(b, &v, 4);
-    out.insert(out.end(), b, b + 4);
-}
-
-void DistArray::put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    std::byte b[8];
-    std::memcpy(b, &v, 8);
-    out.insert(out.end(), b, b + 8);
-}
-
-std::uint32_t DistArray::get_u32(const std::vector<std::byte>& in,
-                                 std::size_t& pos) {
-    DYNMPI_REQUIRE(pos + 4 <= in.size(), "truncated pack buffer (u32)");
-    std::uint32_t v;
-    std::memcpy(&v, in.data() + pos, 4);
-    pos += 4;
-    return v;
-}
-
-std::uint64_t DistArray::get_u64(const std::vector<std::byte>& in,
-                                 std::size_t& pos) {
-    DYNMPI_REQUIRE(pos + 8 <= in.size(), "truncated pack buffer (u64)");
-    std::uint64_t v;
-    std::memcpy(&v, in.data() + pos, 8);
-    pos += 8;
-    return v;
 }
 
 }  // namespace dynmpi

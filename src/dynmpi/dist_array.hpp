@@ -15,13 +15,15 @@
 #include "dynmpi/row_set.hpp"
 #include "sim/shared_bytes.hpp"
 #include "support/error.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 
 /// The one row codec, shared by every DistArray, redistribution, replica
 /// refreshes and crash restores.
 ///
-/// A payload is a header plus one body per row:
+/// A payload is a header (written and read with support/wire.hpp) plus one
+/// body per row:
 ///   header: u32 nrows, then per row: u32 row_id, u64 nbytes
 ///   bodies: nrows buffers, body k holding row k's nbytes
 /// On the simulated wire the header is the packet's inline payload and the
@@ -143,14 +145,6 @@ public:
     const Stats& stats() const { return stats_; }
     void reset_stats() { stats_ = {}; }
 
-    // ---- fixed-width field helpers (RowPayload + the revive bootstrap) ----
-    static void put_u32(std::vector<std::byte>& out, std::uint32_t v);
-    static void put_u64(std::vector<std::byte>& out, std::uint64_t v);
-    static std::uint32_t get_u32(const std::vector<std::byte>& in,
-                                 std::size_t& pos);
-    static std::uint64_t get_u64(const std::vector<std::byte>& in,
-                                 std::size_t& pos);
-
 protected:
     std::string name_;
     int global_rows_;
@@ -161,19 +155,17 @@ protected:
 
 template <typename F>
 void RowPayload::for_each_flat(const std::vector<std::byte>& flat, F&& f) {
-    std::size_t pos = 0;
-    const std::uint32_t nrows = DistArray::get_u32(flat, pos);
-    DYNMPI_REQUIRE(nrows <= (flat.size() - pos) / kRowHeaderBytes,
-                   "row count exceeds the flat buffer");
+    wire::Reader in(flat);
+    const std::uint32_t nrows = in.count(kRowHeaderBytes);
     for (std::uint32_t k = 0; k < nrows; ++k) {
-        const auto row = static_cast<int>(DistArray::get_u32(flat, pos));
-        const std::uint64_t nbytes = DistArray::get_u64(flat, pos);
-        DYNMPI_REQUIRE(nbytes <= flat.size() - pos, "truncated row body");
+        const auto row = static_cast<int>(in.u32());
+        const std::uint64_t nbytes = in.u64();
+        DYNMPI_REQUIRE(nbytes <= in.remaining(), "truncated row body");
         const auto n = static_cast<std::size_t>(nbytes);
-        f(row, flat.data() + pos, n);
-        pos += n;
+        f(row, in.here(), n);
+        in.skip(n);
     }
-    DYNMPI_REQUIRE(pos == flat.size(), "trailing bytes after the last row");
+    in.finish();
 }
 
 }  // namespace dynmpi

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <unordered_map>
 
@@ -11,6 +10,7 @@
 #include "support/metrics.hpp"
 #include "support/table.hpp"
 #include "support/trace.hpp"
+#include "support/wire.hpp"
 #include "support/rng.hpp"
 
 namespace dynmpi {
@@ -87,7 +87,8 @@ const char* adaptation_trace_name(AdaptationEvent::Kind k) {
 }
 
 /// Metric counter name for an adaptation decision (rank 0 records once per
-/// run-level decision).
+/// run-level decision).  Re-adds have none here: the deciding leader counts
+/// them per node.
 const char* adaptation_counter_name(AdaptationEvent::Kind k) {
     switch (k) {
     case AdaptationEvent::Kind::LoadChange: return "runtime.load_changes";
@@ -96,7 +97,7 @@ const char* adaptation_counter_name(AdaptationEvent::Kind k) {
     case AdaptationEvent::Kind::Skipped: return "runtime.skips";
     case AdaptationEvent::Kind::Dropped: return "runtime.drops.physical";
     case AdaptationEvent::Kind::LogicalDrop: return "runtime.drops.logical";
-    case AdaptationEvent::Kind::Readded: return "runtime.readds";
+    case AdaptationEvent::Kind::Readded: return nullptr;
     case AdaptationEvent::Kind::NodeCrash: return "runtime.crashes";
     case AdaptationEvent::Kind::Quarantine: return "runtime.quarantines";
     case AdaptationEvent::Kind::Readmit: return "runtime.readmits";
@@ -125,34 +126,11 @@ void Runtime::record_event(AdaptationEvent::Kind kind, std::string detail) {
                                  adaptation_trace_name(kind),
                                  {targ("cycle", e.cycle),
                                   targ("detail", detail)});
-    if (support::metrics().enabled() && rank_.id() == 0)
-        support::metrics().counter(adaptation_counter_name(kind)).add(1);
+    const char* counter = adaptation_counter_name(kind);
+    if (counter && support::metrics().enabled() && rank_.id() == 0)
+        support::metrics().counter(counter).add(1);
     e.detail = std::move(detail);
     stats_.events.push_back(std::move(e));
-}
-
-void Runtime::record_redist_observability(const RedistStats& ts, double t0,
-                                          double t1, int active_before) {
-    if (support::trace().enabled()) {
-        std::vector<support::TraceArg> args{
-            targ("cycle", stats_.cycles),
-            targ("active_before", active_before),
-            targ("active_after", active_.size()),
-            targ("rows", ts.rows_moved),
-            targ("bytes", ts.bytes),
-            targ("messages", ts.messages)};
-        for (const auto& a : ts.per_array) {
-            args.push_back(targ("rows." + a.array, a.rows_moved));
-            args.push_back(targ("bytes." + a.array, a.bytes));
-        }
-        support::trace().span(t0, t1, rank_.id(), "redist.apply",
-                              std::move(args));
-    }
-    if (support::metrics().enabled()) {
-        support::metrics().histogram("redist.wall_s").record(t1 - t0);
-        support::metrics().gauge("runtime.active_nodes")
-            .set(static_cast<double>(active_.size()));
-    }
 }
 
 ArrayInfo& Runtime::info(const std::string& name) {
@@ -328,66 +306,28 @@ std::uint64_t restore_tag(int dead, int generation, std::size_t array_idx) {
                                       static_cast<std::uint64_t>(generation),
                                       array_idx))));
 }
-
-void put_f64(std::vector<std::byte>& out, double d) {
-    std::uint64_t b;
-    std::memcpy(&b, &d, sizeof b);
-    DistArray::put_u64(out, b);
-}
-
-double get_f64(const std::vector<std::byte>& in, std::size_t& pos) {
-    std::uint64_t b = DistArray::get_u64(in, pos);
-    double d;
-    std::memcpy(&d, &b, sizeof d);
-    return d;
-}
 }  // namespace
 
-void Runtime::leader_send_bootstraps() {
-    auto& cluster = rank_.machine().cluster();
-    for (int w : world_.members()) {
-        auto wi = static_cast<std::size_t>(w);
-        if (active_.contains(w) || cluster.node_crashed(w)) continue;
-        int gen = cluster.node_generation(w);
-        if (gen == 0 || bootstrapped_gen_[wi] == gen) continue;
-        // A revived node is waiting in bootstrap_rejoin.  Hand it the state
-        // a removed follower needs, telling it to pick up the status channel
-        // from the NEXT cycle (this cycle's send-outs are already in
-        // flight).  A leader elected after a crash re-sends — its tracking
-        // is stale — and the duplicate is simply never matched.
-        bootstrapped_gen_[wi] = gen;
-        bootstrap_cycle_[wi] = stats_.cycles;
-        std::vector<std::byte> blob;
-        DistArray::put_u64(blob,
-                           static_cast<std::uint64_t>(stats_.cycles + 1));
-        DistArray::put_u64(blob, redist_seq_);
-        DistArray::put_u64(blob, sendout_seq_);
-        DistArray::put_u64(blob, static_cast<std::uint64_t>(active_.size()));
-        for (int m : active_.members())
-            DistArray::put_u64(blob, static_cast<std::uint64_t>(m));
-        for (int m : world_.members()) {
-            auto mi = static_cast<std::size_t>(m);
-            put_f64(blob, baseline_loads_[mi]);
-            put_f64(blob, speeds_[mi]);
-            put_f64(blob, memories_[mi]);
-            DistArray::put_u64(blob, quarantined_[mi] != 0 ? 1 : 0);
-        }
-        put_f64(blob, comm_costs_.latency_s);
-        put_f64(blob, comm_costs_.bandwidth_Bps);
-        put_f64(blob, comm_costs_.cpu_per_msg_s);
-        put_f64(blob, comm_costs_.cpu_per_byte_s);
-        auto seqs = rank_.export_group_seqs();
-        DistArray::put_u64(blob, seqs.size());
-        for (const auto& [hash, seq] : seqs) {
-            DistArray::put_u64(blob, hash);
-            DistArray::put_u64(blob, seq);
-        }
-        rank_.send_wire(w, bootstrap_tag(w, gen), blob.data(), blob.size());
-    }
+void Runtime::send_bootstrap(int w, int gen) {
+    // Tell the node to pick up the status channel from the NEXT cycle (this
+    // cycle's send-outs are already in flight).  A leader elected after a
+    // crash re-sends — its tracking is stale — and the duplicate is simply
+    // never matched.
+    bootstrapped_gen_[static_cast<std::size_t>(w)] = gen;
+    bootstrap_cycle_[static_cast<std::size_t>(w)] = stats_.cycles;
+    FollowerMessage m = follower_state(FollowerMessage::Kind::Bootstrap,
+                                       active_, baseline_loads_);
+    m.next_cycle = static_cast<std::uint64_t>(stats_.cycles + 1);
+    m.sendout_seq = sendout_seq_;
+    m.speeds = speeds_;
+    m.memories = memories_;
+    m.comm_costs = comm_costs_;
+    m.group_seqs = rank_.export_group_seqs();
+    std::vector<std::byte> blob = m.encode();
+    rank_.send_wire(w, bootstrap_tag(w, gen), blob.data(), blob.size());
 }
 
 void Runtime::bootstrap_rejoin() {
-    reborn_ = true;
     msg::Rank::ControlScope control(rank_);
     std::uint64_t tag = bootstrap_tag(rank_.id(), rank_.node().generation());
     std::vector<std::byte> blob;
@@ -400,59 +340,69 @@ void Runtime::bootstrap_rejoin() {
         } catch (const msg::PeerFailure&) {
         }
     }
-    std::size_t pos = 0;
-    stats_.cycles = static_cast<int>(DistArray::get_u64(blob, pos));
-    redist_seq_ = DistArray::get_u64(blob, pos);
-    sendout_seq_ = DistArray::get_u64(blob, pos);
-    int nactive = static_cast<int>(DistArray::get_u64(blob, pos));
-    std::vector<int> members;
-    for (int i = 0; i < nactive; ++i)
-        members.push_back(static_cast<int>(DistArray::get_u64(blob, pos)));
-    active_ = msg::Group(std::move(members));
-    DYNMPI_CHECK(!active_.contains(rank_.id()),
-                 "bootstrap lists the restarted rank as active");
-    const auto W = static_cast<std::size_t>(world_.size());
-    baseline_loads_.assign(W, 0.0);
-    speeds_.assign(W, 1.0);
-    memories_.assign(W, 0.0);
-    for (std::size_t m = 0; m < W; ++m) {
-        baseline_loads_[m] = get_f64(blob, pos);
-        speeds_[m] = get_f64(blob, pos);
-        memories_[m] = get_f64(blob, pos);
-        quarantined_[m] = DistArray::get_u64(blob, pos) != 0 ? 1 : 0;
-    }
-    comm_costs_.latency_s = get_f64(blob, pos);
-    comm_costs_.bandwidth_Bps = get_f64(blob, pos);
-    comm_costs_.cpu_per_msg_s = get_f64(blob, pos);
-    comm_costs_.cpu_per_byte_s = get_f64(blob, pos);
-    // The leader's collective counters, so this rank's next collective on
-    // any shared group lines up with the survivors'.
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> seqs(
-        DistArray::get_u64(blob, pos));
-    for (auto& [hash, seq] : seqs) {
-        hash = DistArray::get_u64(blob, pos);
-        seq = DistArray::get_u64(blob, pos);
-    }
-    rank_.import_group_seqs(seqs);
+    FollowerMessage m = FollowerMessage::decode(blob);
+    DYNMPI_CHECK(m.kind == FollowerMessage::Kind::Bootstrap,
+                 "expected a bootstrap");
+    follow(m);
     row_costs_.assign(static_cast<std::size_t>(global_rows_), 0.0);
     committed_ = true;
 }
 
-void Runtime::record_rejoins(const msg::Group& now) {
-    auto& cluster = rank_.machine().cluster();
-    for (int w : now.members()) {
-        auto wi = static_cast<std::size_t>(w);
-        int gen = cluster.node_generation(w);
-        if (gen > seen_gen_[wi]) {
-            seen_gen_[wi] = gen;
-            if (gen > 0) {
-                ++stats_.rejoins;
-                record_event(AdaptationEvent::Kind::Rejoin,
-                             "node " + std::to_string(w) +
-                                 " readmitted after restart");
-            }
-        }
+FollowerMessage Runtime::follower_state(
+    FollowerMessage::Kind kind, const msg::Group& active,
+    const std::vector<double>& loads) const {
+    FollowerMessage m;
+    m.kind = kind;
+    m.active = active.members();
+    m.redist_seq = redist_seq_;
+    m.baseline_loads = loads;
+    m.quarantined = quarantined_;
+    return m;
+}
+
+void Runtime::follow(const FollowerMessage& m) {
+    active_ = msg::Group(m.active);
+    DYNMPI_CHECK(!active_.contains(rank_.id()),
+                 "follower message lists this rank as active");
+    if (m.kind == FollowerMessage::Kind::Steady) return;
+
+    const auto W = static_cast<std::size_t>(world_.size());
+    DYNMPI_CHECK(m.baseline_loads.size() == W && m.quarantined.size() == W,
+                 "follower state does not cover the world");
+    redist_seq_ = m.redist_seq;
+    baseline_loads_ = m.baseline_loads;
+    quarantined_ = m.quarantined;
+
+    if (m.kind == FollowerMessage::Kind::Bootstrap) {
+        DYNMPI_CHECK(m.speeds.size() == W && m.memories.size() == W,
+                     "bootstrap does not cover the world");
+        stats_.cycles = static_cast<int>(m.next_cycle);
+        sendout_seq_ = m.sendout_seq;
+        speeds_ = m.speeds;
+        memories_ = m.memories;
+        comm_costs_ = m.comm_costs;
+        // The leader's collective counters, so this rank's next collective
+        // on any shared group lines up with the survivors'.
+        rank_.import_group_seqs(m.group_seqs);
+        return;
     }
+
+    // Re-add: take the leader's distribution as this node's own and join
+    // the redistribution like any active member.
+    DYNMPI_CHECK(m.row_costs.size() == static_cast<std::size_t>(global_rows_),
+                 "re-add row costs do not cover the rows");
+    DYNMPI_CHECK(m.old_counts.size() == m.active.size() &&
+                     m.new_counts.size() == m.new_active.size(),
+                 "re-add counts do not match their active sets");
+    dist_ = Distribution::block(0, global_rows_, m.old_counts);
+    row_costs_ = m.row_costs;
+    apply_distribution(msg::Group(m.new_active),
+                       Distribution::block(0, global_rows_, m.new_counts));
+    ++stats_.readds;
+    record_event(AdaptationEvent::Kind::Readded,
+                 "rejoined as one of " + std::to_string(active_.size()) +
+                     " nodes");
+    enter_post_grace();
 }
 
 // dynmpi-lint: repair-critical
@@ -812,6 +762,24 @@ double Runtime::paging_factor() const {
     return static_cast<double>(used) > mem ? opts_.paging_slowdown : 1.0;
 }
 
+BalanceInput Runtime::balance_input(const std::vector<int>& members,
+                                    const std::vector<double>& loads,
+                                    int comm_nodes) const {
+    BalanceInput in;
+    in.row_costs = row_costs_;
+    for (int w : members)
+        in.nodes.push_back(NodePower{speeds_[static_cast<std::size_t>(w)],
+                                     loads[static_cast<std::size_t>(w)]});
+    in.comm_cpu_per_node = comm_cpu_for(comm_nodes);
+    return in;
+}
+
+std::vector<double> Runtime::shares_for(const BalanceInput& in) const {
+    return opts_.scheme == BalanceScheme::RelativePower
+               ? naive_shares(in.nodes)
+               : successive_shares(in);
+}
+
 double Runtime::comm_cpu_for(int active_nodes) const {
     double total = 0.0;
     for (const auto& p : phases_)
@@ -856,10 +824,10 @@ double allreduce_sendout(msg::Rank& rank, const msg::Group& world,
         }
         return r;
     }
-    auto bytes = rank.recv_wire(active.member(0), tag);
-    DYNMPI_CHECK(bytes.size() == sizeof(double), "bad send-out payload");
-    double r;
-    std::memcpy(&r, bytes.data(), sizeof r);
+    const auto bytes = rank.recv_wire(active.member(0), tag);
+    wire::Reader in(bytes);
+    const double r = in.f64();
+    in.finish();
     return r;
 }
 }  // namespace
@@ -1040,7 +1008,26 @@ void Runtime::apply_distribution(const msg::Group& new_active,
     if (opts_.replicate) replica_refresh(/*wholesale=*/true, redist_seq_);
     double t1 = rank_.hrtime();
     stats_.redist_wall_s += t1 - t0;
-    record_redist_observability(ts, t0, t1, active_before);
+    if (support::trace().enabled()) {
+        std::vector<support::TraceArg> args{
+            targ("cycle", stats_.cycles),
+            targ("active_before", active_before),
+            targ("active_after", active_.size()),
+            targ("rows", ts.rows_moved),
+            targ("bytes", ts.bytes),
+            targ("messages", ts.messages)};
+        for (const auto& a : ts.per_array) {
+            args.push_back(targ("rows." + a.array, a.rows_moved));
+            args.push_back(targ("bytes." + a.array, a.bytes));
+        }
+        support::trace().span(t0, t1, rank_.id(), "redist.apply",
+                              std::move(args));
+    }
+    if (support::metrics().enabled()) {
+        support::metrics().histogram("redist.wall_s").record(t1 - t0);
+        support::metrics().gauge("runtime.active_nodes")
+            .set(static_cast<double>(active_.size()));
+    }
 }
 
 Runtime::GraceDecision Runtime::compute_grace_decision(
@@ -1098,22 +1085,12 @@ Runtime::GraceDecision Runtime::compute_grace_decision(
     if (candidates.empty()) candidates = active_.members();
     msg::Group new_active(candidates);
 
-    BalanceInput in;
-    in.row_costs = row_costs_;
-    for (int w : candidates)
-        in.nodes.push_back(NodePower{speeds_[static_cast<std::size_t>(w)],
-                                     world_loads[static_cast<std::size_t>(w)]});
-    in.comm_cpu_per_node = comm_cpu_for(new_active.size());
-
-    std::vector<double> shares = opts_.scheme == BalanceScheme::RelativePower
-                                     ? naive_shares(in.nodes)
-                                     : successive_shares(in);
-    std::vector<int> counts =
-        blocks_from_shares(row_costs_, shares, /*min_rows=*/1);
-    counts = apply_row_caps(std::move(counts), row_caps_for(candidates));
-    Distribution new_dist = Distribution::block(0, global_rows_, counts);
-
-    (void)new_dist;
+    std::vector<int> counts = apply_row_caps(
+        blocks_from_shares(row_costs_,
+                           shares_for(balance_input(candidates, world_loads,
+                                                    new_active.size())),
+                           /*min_rows=*/1),
+        row_caps_for(candidates));
 
     // Skip the redistribution if nothing materially changes — the threshold
     // scales with the average block so it means the same thing at every
@@ -1168,13 +1145,8 @@ void Runtime::finish_post_grace(const std::vector<double>& world_loads) {
             any_loaded = true;
 
     if (opts_.enable_removal && any_loaded && active_.size() > 1) {
-        BalanceInput in;
-        in.row_costs = row_costs_;
-        for (int w : active_.members())
-            in.nodes.push_back(
-                NodePower{speeds_[static_cast<std::size_t>(w)],
-                          world_loads[static_cast<std::size_t>(w)]});
-        in.comm_cpu_per_node = comm_cpu_for(active_.size());
+        BalanceInput in =
+            balance_input(active_.members(), world_loads, active_.size());
 
         int unloaded = 0;
         for (const auto& n : in.nodes)
@@ -1203,49 +1175,34 @@ void Runtime::finish_post_grace(const std::vector<double>& world_loads) {
                       static_cast<int>(d.unloaded_members.size())),
                  targ("drop", d.drop)});
         if (d.drop) {
-            if (opts_.drop_mode == DropMode::Physical) {
-                std::vector<int> keep;
-                for (int j : d.unloaded_members)
-                    keep.push_back(active_.member(j));
-                msg::Group new_active(keep);
-                BalanceInput sub;
-                sub.row_costs = row_costs_;
-                for (int j : d.unloaded_members)
-                    sub.nodes.push_back(in.nodes[static_cast<std::size_t>(j)]);
-                sub.comm_cpu_per_node = comm_cpu_for(new_active.size());
-                auto shares = opts_.scheme == BalanceScheme::RelativePower
-                                  ? naive_shares(sub.nodes)
-                                  : successive_shares(sub);
-                auto counts = blocks_from_shares(row_costs_, shares, 1);
-                counts = apply_row_caps(std::move(counts),
-                                        row_caps_for(new_active.members()));
-                apply_distribution(
-                    new_active, Distribution::block(0, global_rows_, counts));
+            // Physical: the unloaded nodes become the active set.  Logical:
+            // loaded nodes stay (static relative ranks) but keep only a
+            // minimum assignment.
+            const bool physical = opts_.drop_mode == DropMode::Physical;
+            std::vector<int> keep;
+            for (int j : d.unloaded_members) keep.push_back(active_.member(j));
+            const msg::Group new_active = physical ? msg::Group(keep) : active_;
+            std::vector<double> shares = shares_for(
+                balance_input(keep, world_loads, new_active.size()));
+            if (!physical) {
+                std::vector<double> all(in.nodes.size(), 0.0);
+                for (std::size_t k = 0; k < shares.size(); ++k)
+                    all[static_cast<std::size_t>(d.unloaded_members[k])] =
+                        shares[k];
+                shares = std::move(all);
+            }
+            auto counts = apply_row_caps(
+                blocks_from_shares(row_costs_, shares,
+                                   physical ? 1 : opts_.logical_min_rows),
+                row_caps_for(new_active.members()));
+            apply_distribution(new_active,
+                               Distribution::block(0, global_rows_, counts));
+            if (physical) {
                 ++stats_.physical_drops;
                 record_event(AdaptationEvent::Kind::Dropped,
-                             "active now " +
-                                 std::to_string(active_.size()) + " nodes");
+                             "active now " + std::to_string(active_.size()) +
+                                 " nodes");
             } else {
-                // Logical drop: loaded nodes stay in the active set (static
-                // relative ranks) but keep only a minimum assignment.
-                std::vector<double> shares(in.nodes.size(), 0.0);
-                BalanceInput sub;
-                sub.row_costs = row_costs_;
-                for (int j : d.unloaded_members)
-                    sub.nodes.push_back(in.nodes[static_cast<std::size_t>(j)]);
-                sub.comm_cpu_per_node = comm_cpu_for(active_.size());
-                auto sub_shares = opts_.scheme == BalanceScheme::RelativePower
-                                      ? naive_shares(sub.nodes)
-                                      : successive_shares(sub);
-                for (std::size_t k = 0; k < d.unloaded_members.size(); ++k)
-                    shares[static_cast<std::size_t>(d.unloaded_members[k])] =
-                        sub_shares[k];
-                auto counts = blocks_from_shares(row_costs_, shares,
-                                                 opts_.logical_min_rows);
-                counts = apply_row_caps(std::move(counts),
-                                        row_caps_for(active_.members()));
-                apply_distribution(
-                    active_, Distribution::block(0, global_rows_, counts));
                 ++stats_.logical_drops;
                 record_event(AdaptationEvent::Kind::LogicalDrop,
                              "blocks " + counts_string(counts));
@@ -1267,8 +1224,6 @@ std::uint64_t status_tag(int cycle) {
                          hash_combine(0x57A705ULL,
                                       static_cast<std::uint64_t>(cycle)));
 }
-constexpr double kStatusSteady = 0.0;
-constexpr double kStatusReadd = 1.0;
 }  // namespace
 
 void Runtime::send_statuses(const msg::Group& active_before,
@@ -1282,105 +1237,51 @@ void Runtime::send_statuses(const msg::Group& active_before,
     for (int w : world_.members()) {
         if (active_before.contains(w)) continue;
         if (rank_.machine().cluster().node_crashed(w)) continue;
-        std::vector<double> msg;
+        FollowerMessage m;
         if (decision && decision->material && decision->new_active.contains(w)) {
-            // Re-add instruction: full state so the returning node can join
-            // the redistribution and the subsequent decisions.
-            msg.push_back(kStatusReadd);
-            msg.push_back(static_cast<double>(active_before.size()));
-            for (int m : active_before.members())
-                msg.push_back(static_cast<double>(m));
-            for (int c : dist_.counts()) msg.push_back(static_cast<double>(c));
-            msg.push_back(static_cast<double>(decision->new_active.size()));
-            for (int m : decision->new_active.members())
-                msg.push_back(static_cast<double>(m));
-            for (int c : decision->counts)
-                msg.push_back(static_cast<double>(c));
-            msg.push_back(static_cast<double>(redist_seq_));
-            for (double c : row_costs_) msg.push_back(c);
-            for (double l : decision->loads) msg.push_back(l);
-            for (int m : world_.members())
-                msg.push_back(
-                    quarantined_[static_cast<std::size_t>(m)] != 0 ? 1.0
-                                                                   : 0.0);
+            // Re-add: the follower state as of before the redistribution
+            // plus both of its endpoints, so the returning node can join it
+            // and the subsequent decisions.
+            m = follower_state(FollowerMessage::Kind::Readd, active_before,
+                               decision->loads);
+            m.old_counts = dist_.counts();
+            m.new_active = decision->new_active.members();
+            m.new_counts = decision->counts;
+            m.row_costs = row_costs_;
         } else {
-            msg.push_back(kStatusSteady);
             const msg::Group& now =
                 decision && decision->material ? decision->new_active : active_;
-            msg.push_back(static_cast<double>(now.size()));
-            for (int m : now.members()) msg.push_back(static_cast<double>(m));
+            m.active = now.members();
         }
-        rank_.send_wire(w, status_tag(stats_.cycles), msg.data(),
-                        msg.size() * sizeof(double));
+        std::vector<std::byte> bytes = m.encode();
+        rank_.send_wire(w, status_tag(stats_.cycles), bytes.data(),
+                        bytes.size());
     }
 }
 
 void Runtime::removed_cycle_follow() {
-    auto bytes = rank_.recv_wire(active_.member(0), status_tag(stats_.cycles));
-    DYNMPI_CHECK(bytes.size() % sizeof(double) == 0, "bad status payload");
-    std::vector<double> v(bytes.size() / sizeof(double));
-    std::memcpy(v.data(), bytes.data(), bytes.size());
-    std::size_t pos = 0;
-    auto next = [&] { return v.at(pos++); };
-    auto next_int = [&] { return static_cast<int>(next()); };
+    FollowerMessage m = FollowerMessage::decode(
+        rank_.recv_wire(active_.member(0), status_tag(stats_.cycles)));
+    DYNMPI_CHECK(m.kind != FollowerMessage::Kind::Bootstrap,
+                 "bootstrap on the status channel");
+    follow(m);
+}
 
-    if (next() == kStatusSteady) {
-        int n = next_int();
-        std::vector<int> members;
-        for (int i = 0; i < n; ++i) members.push_back(next_int());
-        active_ = msg::Group(std::move(members));
-        DYNMPI_CHECK(!active_.contains(rank_.id()),
-                     "steady status while listed active");
-        return;
+void Runtime::enter_post_grace() {
+    auto& cluster = rank_.machine().cluster();
+    for (int w : active_.members()) {
+        auto wi = static_cast<std::size_t>(w);
+        int gen = cluster.node_generation(w);
+        if (gen > seen_gen_[wi]) {
+            seen_gen_[wi] = gen;
+            if (gen > 0) {
+                ++stats_.rejoins;
+                record_event(AdaptationEvent::Kind::Rejoin,
+                             "node " + std::to_string(w) +
+                                 " readmitted after restart");
+            }
+        }
     }
-
-    // Re-add: reconstruct both endpoints of the redistribution and join it.
-    int n_old = next_int();
-    std::vector<int> old_members, old_counts;
-    for (int i = 0; i < n_old; ++i) old_members.push_back(next_int());
-    for (int i = 0; i < n_old; ++i) old_counts.push_back(next_int());
-    int n_new = next_int();
-    std::vector<int> new_members, new_counts;
-    for (int i = 0; i < n_new; ++i) new_members.push_back(next_int());
-    for (int i = 0; i < n_new; ++i) new_counts.push_back(next_int());
-    redist_seq_ = static_cast<std::uint64_t>(next());
-    row_costs_.assign(static_cast<std::size_t>(global_rows_), 0.0);
-    for (int i = 0; i < global_rows_; ++i)
-        row_costs_[static_cast<std::size_t>(i)] = next();
-    baseline_loads_.assign(static_cast<std::size_t>(world_.size()), 0.0);
-    for (int i = 0; i < world_.size(); ++i)
-        baseline_loads_[static_cast<std::size_t>(i)] = next();
-    for (int i = 0; i < world_.size(); ++i)
-        quarantined_[static_cast<std::size_t>(i)] = next() != 0.0 ? 1 : 0;
-
-    msg::Group old_active(std::move(old_members));
-    Distribution old_dist =
-        Distribution::block(0, global_rows_, std::move(old_counts));
-    msg::Group new_active(std::move(new_members));
-    Distribution new_dist =
-        Distribution::block(0, global_rows_, std::move(new_counts));
-
-    msg::Rank::ControlScope data_plane(rank_, /*enable=*/false);
-    double t0 = rank_.hrtime();
-    RedistContext ctx{global_rows_, &old_active, &old_dist, &new_active,
-                      &new_dist};
-    RedistStats ts = execute_redistribution(rank_, ctx, arrays_, redist_seq_++);
-    stats_.transfer.messages += ts.messages;
-    stats_.transfer.bytes += ts.bytes;
-    stats_.transfer.rows_moved += ts.rows_moved;
-    const int active_before = old_active.size();
-    active_ = new_active;
-    dist_ = new_dist;
-    ++stats_.redistributions;
-    ++stats_.readds;
-    if (opts_.replicate) replica_refresh(/*wholesale=*/true, redist_seq_);
-    double t1 = rank_.hrtime();
-    stats_.redist_wall_s += t1 - t0;
-    record_redist_observability(ts, t0, t1, active_before);
-    record_event(AdaptationEvent::Kind::Readded,
-                 "rejoined as one of " + std::to_string(active_.size()) +
-                     " nodes");
-    record_rejoins(active_);
     mode_ = Mode::PostGrace;
     post_count_ = 0;
     post_cycle_max_.clear();
@@ -1407,7 +1308,6 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
         std::fabs(my_load() - baseline_loads_[static_cast<std::size_t>(me)]);
     if (rel_rank() == 0) {
         leader_scan_reports();
-        leader_send_bootstraps();
         auto& cluster = rank_.machine().cluster();
         for (int w : world_.members()) {
             auto wi = static_cast<std::size_t>(w);
@@ -1417,12 +1317,14 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
                 delta,
                 std::fabs(cluster.daemon(w).avg_competing() -
                           baseline_loads_[wi]));
-            // A bootstrapped rejoiner waiting outside the active set forces
-            // an adaptation round even on a quiet cluster, like a
+            // A revived node waits in bootstrap_rejoin for its bootstrap.
+            // Once bootstrapped, a rejoiner waiting outside the active set
+            // forces an adaptation round even on a quiet cluster, like a
             // quarantine transition: the candidate set changed.
             int gen = cluster.node_generation(w);
-            if (gen > 0 && bootstrapped_gen_[wi] == gen &&
-                stats_.cycles > bootstrap_cycle_[wi])
+            if (gen > 0 && bootstrapped_gen_[wi] != gen)
+                send_bootstrap(w, gen);
+            else if (gen > 0 && stats_.cycles > bootstrap_cycle_[wi])
                 delta = std::max(delta, opts_.load_change_eps + 1.0);
         }
         // A pending quarantine or readmit must force an adaptation round
@@ -1450,7 +1352,6 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
         replica_refresh(/*wholesale=*/false,
                         static_cast<std::uint64_t>(stats_.cycles));
 
-    int redist_before = stats_.redistributions;
     bool may_adapt = opts_.max_redistributions < 0 ||
                      stats_.redistributions < opts_.max_redistributions;
     GraceDecision decision;
@@ -1470,8 +1371,6 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
             std::vector<double> loads = read_world_loads(pg);
             decision = compute_grace_decision(loads, pg);
             decision_ptr = &decision;
-            if (decision.new_active.size() > active_.size())
-                stats_.readds += decision.new_active.size() - active_.size();
             // Returning nodes must learn about the redistribution before it
             // starts, so statuses go out first.
             send_statuses(active_before, decision_ptr);
@@ -1481,17 +1380,16 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
                     Distribution::block(0, global_rows_, decision.counts));
                 record_event(AdaptationEvent::Kind::Redistributed,
                              "blocks " + counts_string(decision.counts));
-                record_rejoins(active_);
-                mode_ = Mode::PostGrace;
-                post_count_ = 0;
-                post_cycle_max_.clear();
-                if (support::trace().enabled())
-                    support::trace().instant(
-                        rank_.hrtime(), rank_.id(),
-                        "runtime.post_grace_enter",
-                        {targ("cycle", stats_.cycles),
-                         targ("post_grace_cycles",
-                              opts_.post_grace_cycles)});
+                // The leader counts every re-added node once for the run;
+                // the rejoining ranks record the runtime.readded instants.
+                int readded = 0;
+                for (int w : active_.members())
+                    if (!active_before.contains(w)) ++readded;
+                stats_.readds += readded;
+                if (readded > 0 && support::metrics().enabled() &&
+                    active_before.index_of(me) == 0)
+                    support::metrics().counter("runtime.readds").add(readded);
+                enter_post_grace();
             } else {
                 record_event(AdaptationEvent::Kind::Skipped,
                              "change below threshold");
@@ -1508,7 +1406,6 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
         break;
     }
     if (!decision_ptr) send_statuses(active_before, nullptr);
-    rec.redistributed = stats_.redistributions != redist_before;
 }
 
 void Runtime::end_cycle() {

@@ -38,6 +38,7 @@
 #include "dynmpi/comm_model.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/distribution.hpp"
+#include "dynmpi/follower_message.hpp"
 #include "dynmpi/redistributor.hpp"
 #include "dynmpi/replica.hpp"
 #include "dynmpi/sparse_matrix.hpp"
@@ -269,11 +270,6 @@ private:
 
     ArrayInfo& info(const std::string& name);
     void record_event(AdaptationEvent::Kind kind, std::string detail);
-    /// Emit the redist.apply trace span (per-array breakdown) and redist
-    /// metrics for a redistribution that ran over [t0, t1].
-    void record_redist_observability(const RedistStats& ts, double t0,
-                                     double t1, int active_before);
-    const std::vector<Drsd>& accesses_of(const std::string& name) const;
 
     double my_load() const;       ///< dmpi_ps average competing
     double node_speed() const;
@@ -316,13 +312,23 @@ private:
     /// through take_recovered_rows.  Safe to retry after a failure.
     void perform_pending_restores();
 
-    /// Leader only: hand a freshly restarted (revived) node the state it
-    /// needs to rejoin as a removed follower of the status channel.
-    void leader_send_bootstraps();
+    /// Leader only: hand revived node `w` (generation `gen`) the Bootstrap
+    /// it needs to rejoin as a removed follower of the status channel.
+    void send_bootstrap(int w, int gen);
 
     /// Reborn-rank side of commit_setup: skip the setup collectives and
     /// wait for the leader's bootstrap instead.
     void bootstrap_rejoin();
+
+    /// A `kind` message with `active`, `loads` and this rank's follower
+    /// state.
+    FollowerMessage follower_state(FollowerMessage::Kind kind,
+                                   const msg::Group& active,
+                                   const std::vector<double>& loads) const;
+    /// The one entry path for a node outside the active set: install the
+    /// message's state; a Readd then joins the redistribution through
+    /// apply_distribution.
+    void follow(const FollowerMessage& m);
 
     /// Monitoring dispatch with failure recovery: retries the cycle's
     /// control protocol on an epoch-salted group until it completes without
@@ -347,11 +353,12 @@ private:
     GraceDecision compute_grace_decision(const std::vector<double>& loads,
                                          const msg::Group& pg);
 
-    /// Per-cycle status messages from relative rank 0 to every removed node
-    /// (steady heartbeat, or a re-add instruction carrying full state).
+    /// Per-cycle status from relative rank 0 to every removed node: Steady,
+    /// or Readd for a node the decision brings back.
     void send_statuses(const msg::Group& active_before,
                        const GraceDecision* decision);
     void active_cycle_monitor(CycleRecord& rec, double wall);
+    /// Removed-node side of a cycle: receive the status and follow() it.
     void removed_cycle_follow();
 
     /// Per-candidate row caps from node memories (0 entries = unlimited).
@@ -360,9 +367,20 @@ private:
     double paging_factor() const;
 
     void enter_grace();
+    /// Both sides of an applied grace decision enter post-grace here,
+    /// recording a Rejoin for each revived node now active.
+    void enter_post_grace();
     void finish_post_grace(const std::vector<double>& world_loads);
+    /// Move to (new_active, new_dist); emits the redist.apply span.
     void apply_distribution(const msg::Group& new_active,
                             const Distribution& new_dist);
+    /// The balancer's view of `members` (world ranks) under `loads`, with
+    /// communication CPU priced for `comm_nodes` active nodes.
+    BalanceInput balance_input(const std::vector<int>& members,
+                               const std::vector<double>& loads,
+                               int comm_nodes) const;
+    /// Work fractions of `in.nodes` under the configured scheme.
+    std::vector<double> shares_for(const BalanceInput& in) const;
     double comm_cpu_for(int active_nodes) const;
     double comm_wire_for(int active_nodes) const;
 
@@ -396,7 +414,7 @@ private:
     RowSet recovered_rows_;        ///< crash-adopted rows awaiting the app
     std::vector<int> bad_streak_;  ///< per world rank (leader maintained)
     std::vector<int> clean_streak_;
-    std::vector<char> quarantined_; ///< per world rank, bcast with loads
+    std::vector<int> quarantined_;  ///< per world rank, bcast with loads
     std::vector<char> joinable_;    ///< per world rank, bcast with loads
     bool quarantine_due_ = false;   ///< leader: transitions want a grace
     bool statuses_sent_this_cycle_ = false;
@@ -425,11 +443,6 @@ private:
     std::vector<int> bootstrapped_gen_; ///< leader: generation bootstrapped
     std::vector<int> bootstrap_cycle_;  ///< leader: cycle it was sent
     std::vector<int> seen_gen_; ///< per world rank: generation last active
-    bool reborn_ = false; ///< this runtime started via revive + bootstrap
-
-    /// Record Kind::Rejoin for every member of `now` whose node generation
-    /// advanced since it was last active (i.e. it came back via revive).
-    void record_rejoins(const msg::Group& now);
 
     RuntimeStats stats_;
 };

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "support/error.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
@@ -132,10 +133,10 @@ std::vector<std::byte> from_hex(const std::string& hex) {
 }
 
 void put32(std::vector<std::byte>& out, std::uint32_t v) {
-    DistArray::put_u32(out, v);
+    wire::Writer(out).u32(v);
 }
 void put64(std::vector<std::byte>& out, std::uint64_t v) {
-    DistArray::put_u64(out, v);
+    wire::Writer(out).u64(v);
 }
 
 TEST(RowCodec, FlattenMatchesTheFlatWireFormat) {

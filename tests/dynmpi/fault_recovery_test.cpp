@@ -13,6 +13,7 @@
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "sim/fault_plan.hpp"
+#include "support/metrics.hpp"
 #include "support/trace.hpp"
 
 namespace dynmpi {
@@ -372,6 +373,79 @@ TEST(FaultRecovery, ReviveTraceIsByteIdenticalAcrossRuns) {
     EXPECT_NE(traces[0].find("runtime.replica_refresh"), std::string::npos);
     EXPECT_NE(traces[0].find("runtime.replica_restore"), std::string::npos);
     EXPECT_NE(traces[0].find("runtime.rejoin"), std::string::npos);
+}
+
+struct ReaddObservation {
+    FaultOutcome out;
+    int instants = 0;          ///< runtime.readded, one per rejoining rank
+    std::uint64_t counter = 0; ///< the runtime.readds counter
+    bool joint_decision = false; ///< a readmit and a quarantine in one decision
+};
+
+ReaddObservation observe_readds(const FaultParams& fp) {
+    support::trace().enable();
+    support::metrics().reset();
+    support::metrics().enable();
+    ReaddObservation o;
+    o.out = run_with_faults(fp);
+    std::vector<double> readmits, quarantines;
+    for (const auto& e : support::trace().sorted_events()) {
+        if (e.name == "runtime.readded") ++o.instants;
+        if (e.rank != 0) continue;
+        if (e.name == "runtime.readmit") readmits.push_back(e.time_s);
+        if (e.name == "runtime.quarantine") quarantines.push_back(e.time_s);
+    }
+    for (double t : readmits)
+        for (double q : quarantines)
+            if (t == q) o.joint_decision = true;
+    o.counter = support::metrics().counter("runtime.readds").value();
+    support::trace().disable();
+    support::trace().clear();
+    support::metrics().disable();
+    support::metrics().reset();
+    return o;
+}
+
+// The readds counter counts every re-added node, also when the node that
+// comes back is not rank 0 (it alone records the runtime.readded instant).
+TEST(FaultRecovery, ReaddsCounterCountsARevivedNode) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 90;
+    fp.script =
+        "crash node=5 t=1.5\n"
+        "revive node=5 t=2.5\n";
+    fp.opts.replicate = true;
+    ReaddObservation o = observe_readds(fp);
+    EXPECT_EQ(o.out.final_active, fp.nodes);
+    EXPECT_EQ(o.instants, 1);
+    EXPECT_EQ(o.counter, 1u);
+}
+
+// One decision readmits quarantined node 1 and quarantines node 2: the
+// active set keeps its size, but node 1 was still re-added.
+TEST(FaultRecovery, ReaddCountedWhenTheSameDecisionDropsANode) {
+    FaultParams fp;
+    fp.nodes = 4;
+    fp.rows = 48;
+    fp.cycles = 140;
+    fp.row_cost = 8e-3;
+    fp.script =
+        "drop-reports node=1 t=1 dur=4\n"
+        "drop-reports node=2 t=5.4 dur=4\n";
+    fp.opts.report_staleness_s = 0.6;
+    fp.opts.quarantine_bad_reports = 2;
+    fp.opts.readmit_clean_cycles = 8;
+    fp.opts.grace_cycles = 3;
+    ReaddObservation o = observe_readds(fp);
+    EXPECT_TRUE(o.out.data_ok);
+    EXPECT_TRUE(o.joint_decision);
+    EXPECT_EQ(o.out.quarantines, 2);
+    EXPECT_EQ(o.out.readmits, 2);
+    EXPECT_EQ(o.instants, 2); // node 1, then node 2 when it is readmitted
+    EXPECT_EQ(o.out.readds, 2);
+    EXPECT_EQ(o.counter, 2u);
 }
 
 // A daemon that stops publishing makes its reports stale; the leader falls
