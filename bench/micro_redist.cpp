@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "dynmpi/redistributor.hpp"
+#include "tests/dynmpi/transfer_rows_oracle.hpp"
 
 namespace dynmpi {
 namespace {

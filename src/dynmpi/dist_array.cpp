@@ -1,8 +1,7 @@
 #include "dynmpi/dist_array.hpp"
 
-#include <cstring>
-
 #include "support/error.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 
@@ -61,32 +60,6 @@ std::size_t RowPayload::wire_size() const {
     std::size_t bytes = header_.size();
     for (const sim::SharedBytes& body : bodies_) bytes += body.size();
     return bytes;
-}
-
-std::vector<std::byte> RowPayload::flatten() const {
-    std::vector<std::byte> out(wire_size());
-    std::byte* w = out.data();
-    std::memcpy(w, header_.data(), 4);
-    w += 4;
-    for (std::size_t k = 0; k < size(); ++k) {
-        std::memcpy(w, header_.data() + 4 + k * kRowHeaderBytes,
-                    kRowHeaderBytes);
-        w += kRowHeaderBytes;
-        const sim::SharedBytes& body = bodies_[k];
-        if (body.size() > 0) std::memcpy(w, body.data(), body.size());
-        w += body.size();
-    }
-    return out;
-}
-
-RowPayload RowPayload::parse(const std::vector<std::byte>& flat) {
-    RowPayload out;
-    for_each_flat(flat, [&out](int row, const std::byte* body,
-                               std::size_t nbytes) {
-        std::byte* copy = out.add_owned(row, nbytes);
-        if (nbytes > 0) std::memcpy(copy, body, nbytes);
-    });
-    return out;
 }
 
 DistArray::DistArray(std::string name, int global_rows)

@@ -15,11 +15,10 @@
 #include "dynmpi/row_set.hpp"
 #include "sim/shared_bytes.hpp"
 #include "support/error.hpp"
-#include "support/wire.hpp"
 
 namespace dynmpi {
 
-/// The one row codec, shared by every DistArray, redistribution, replica
+/// The one row form, shared by every DistArray, redistribution, replica
 /// refreshes and crash restores.
 ///
 /// A payload is a header (written and read with support/wire.hpp) plus one
@@ -28,10 +27,7 @@ namespace dynmpi {
 ///   bodies: nrows buffers, body k holding row k's nbytes
 /// On the simulated wire the header is the packet's inline payload and the
 /// bodies are its segments, so a body crosses by reference with no copy.
-/// flatten() interleaves the two into the flat byte form used by replica
-/// refreshes and tests (the pre-segment wire format, byte for byte):
-///   u32 nrows, then per row: u32 row_id, u64 nbytes, body
-/// Both forms have the same wire_size(): 4 + sum over rows of (12 + nbytes).
+/// wire_size() is 4 + sum over rows of (12 + nbytes).
 class RowPayload {
 public:
     static constexpr std::size_t kRowHeaderBytes = 12; ///< u32 id + u64 size
@@ -61,17 +57,6 @@ public:
     const std::vector<std::byte>& header() const { return header_; }
     const std::vector<sim::SharedBytes>& bodies() const { return bodies_; }
     std::size_t wire_size() const;
-
-    /// The flat byte form (every body copied in after its header entry).
-    std::vector<std::byte> flatten() const;
-    /// Read the flat byte form, copying every body into its own buffer.
-    /// Rejects truncation and trailing bytes.
-    static RowPayload parse(const std::vector<std::byte>& flat);
-    /// Walk the flat byte form in place, calling f(row, body, nbytes) per
-    /// row, with parse()'s checks (a fault throws after the rows before it
-    /// were visited).  For consumers that keep their own copy of each body.
-    template <typename F>
-    static void for_each_flat(const std::vector<std::byte>& flat, F&& f);
 
 private:
     std::vector<std::byte> header_;
@@ -152,20 +137,5 @@ protected:
     std::vector<char> dirty_; ///< per-row modified-since-refresh flags
     mutable Stats stats_;
 };
-
-template <typename F>
-void RowPayload::for_each_flat(const std::vector<std::byte>& flat, F&& f) {
-    wire::Reader in(flat);
-    const std::uint32_t nrows = in.count(kRowHeaderBytes);
-    for (std::uint32_t k = 0; k < nrows; ++k) {
-        const auto row = static_cast<int>(in.u32());
-        const std::uint64_t nbytes = in.u64();
-        DYNMPI_REQUIRE(nbytes <= in.remaining(), "truncated row body");
-        const auto n = static_cast<std::size_t>(nbytes);
-        f(row, in.here(), n);
-        in.skip(n);
-    }
-    in.finish();
-}
 
 }  // namespace dynmpi

@@ -8,10 +8,13 @@
 //
 // Authoritative data for a row lives at its *old owner*; nodes re-fetch even
 // rows they hold as (possibly stale) ghosts.  Execution packs rows (dense
-// rows go by reference, sparse rows are flattened into owned bodies), sends
+// rows go by reference, sparse rows are packed into owned bodies), sends
 // eagerly, receives, then drops storage for rows no longer needed —
 // surviving rows are reused in place, which is the point of the §4.1
 // allocation scheme.
+//
+// send_rows/recv_rows are the one row transport: redistribution, replica
+// refreshes and crash restores all move rows through them.
 #pragma once
 
 #include <cstdint>
@@ -52,23 +55,14 @@ RowSet needed_rows(const msg::Group& active, const Distribution& dist,
                    int abs_rank, const std::vector<Drsd>& accesses,
                    int global_rows);
 
-/// Rows `src_abs` must ship to `dst_abs` for one array: the source's old
-/// ownership intersected with the destination's newly-needed rows, excluding
-/// rows the destination already owned authoritatively.
-///
-/// This is the reference formulation: calling it for every (src, dst) pair
-/// rebuilds the same owned/needed sets O(P²·A) times per redistribution.
-/// Execution uses RedistPlan instead; tests pin the two against each other.
-RowSet transfer_rows(const RedistContext& ctx,
-                     const std::vector<Drsd>& accesses, int src_abs,
-                     int dst_abs);
-
 /// One redistribution's complete transfer schedule from the calling rank's
 /// perspective, computed once and shared by the pack, unpack, and cleanup
 /// phases.  Building it materializes every party's old-owned RowSet once
 /// (it is array-independent) and every (array, party) needed RowSet exactly
-/// once — O(P·A) set constructions instead of the O(P²·A) that pairwise
-/// transfer_rows calls in both the send and the receive phase would cost.
+/// once — O(P·A) set constructions instead of the O(P²·A) that answering
+/// each (src, dst) pair from scratch in both the send and the receive phase
+/// would cost (tests/dynmpi/transfer_rows_oracle.hpp keeps that pairwise
+/// form as the reference the plan is tested against).
 struct RedistPlan {
     /// Union of old and new active members, ascending — the deterministic
     /// traversal order of every execution phase.

@@ -9,19 +9,22 @@ namespace dynmpi {
 ReplicaStore::ReplicaStore(std::size_t num_arrays) : rows_(num_arrays) {}
 
 // dynmpi-lint: repair-critical
-RowSet ReplicaStore::store_blob(std::size_t array_idx,
-                                const std::vector<std::byte>& blob) {
+RowSet ReplicaStore::store(std::size_t array_idx, const RowPayload& rows) {
     DYNMPI_REQUIRE(array_idx < rows_.size(), "replica store: bad array");
     auto& store = rows_[array_idx];
     RowSet stored;
-    RowPayload::for_each_flat(
-        blob, [&](int row, const std::byte* body, std::size_t nbytes) {
-            std::vector<std::byte>& slot = store[row];
-            bytes_ -= slot.size();
-            slot.assign(body, body + nbytes);
-            bytes_ += slot.size();
-            stored.add(row, row + 1);
-        });
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        const int row = rows.row_id(k);
+        const sim::SharedBytes& body = rows.body(k);
+        sim::SharedBytes& slot = store[row];
+        bytes_ -= slot.size();
+        if (slot.use_count() != 1 || slot.size() != body.size())
+            slot = sim::SharedBytes::allocate(body.size(), false);
+        if (body.size() > 0)
+            std::memcpy(slot.data(), body.data(), body.size());
+        bytes_ += slot.size();
+        stored.add(row, row + 1);
+    }
     return stored;
 }
 
@@ -34,10 +37,7 @@ RowPayload ReplicaStore::extract(std::size_t array_idx,
     for (const auto& iv : rows.intervals()) {
         for (int r = iv.lo; r < iv.hi; ++r) {
             auto it = store.find(r);
-            if (it == store.end()) continue;
-            const std::vector<std::byte>& slot = it->second;
-            std::byte* body = out.add_owned(r, slot.size());
-            if (!slot.empty()) std::memcpy(body, slot.data(), slot.size());
+            if (it != store.end()) out.add(r, it->second);
         }
     }
     return out;

@@ -587,12 +587,10 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
         auto i = static_cast<std::size_t>(replica_arrays_sent_);
         DistArray& a = *arrays_[i].array;
         RowSet rows = wholesale ? owned : a.dirty_rows(owned);
-        // Replicas travel in the flat form: the buddy keeps byte copies.
-        std::vector<std::byte> blob = a.pack_rows(rows).flatten();
-        rank_.send_wire(succ, replica_tag(wholesale, salt, i), blob.data(),
-                        blob.size());
+        const RowPayload payload = a.pack_rows(rows);
+        send_rows(rank_, succ, replica_tag(wholesale, salt, i), payload);
         a.clear_dirty(rows);
-        bytes_out += blob.size();
+        bytes_out += payload.wire_size();
         rows_out += rows.count();
         ++replica_arrays_sent_;
     }
@@ -602,8 +600,8 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
             .add(static_cast<std::int64_t>(bytes_out));
     while (replica_arrays_recvd_ < static_cast<int>(arrays_.size())) {
         auto i = static_cast<std::size_t>(replica_arrays_recvd_);
-        auto blob = rank_.recv_wire(pred, replica_tag(wholesale, salt, i));
-        RowSet stored = replicas_->store_blob(i, blob);
+        RowSet stored = replicas_->store(
+            i, recv_rows(rank_, pred, replica_tag(wholesale, salt, i)));
         if (wholesale) replicas_->retain_only(i, stored);
         ++replica_arrays_recvd_;
     }

@@ -157,8 +157,19 @@ void SparseMatrix::unpack_rows(const RowPayload& rows) {
         const int r = rows.row_id(k);
         DYNMPI_REQUIRE(r >= 0 && r < global_rows_,
                        "unpacked row id out of range for " + name_);
-        DYNMPI_REQUIRE(rows.body(k).size() % sizeof(SparseEntry) == 0,
+        const sim::SharedBytes& body = rows.body(k);
+        DYNMPI_REQUIRE(body.size() % sizeof(SparseEntry) == 0,
                        "sparse row payload not a whole number of entries");
+        int prev = -1;
+        for (std::size_t off = 0; off < body.size();
+             off += sizeof(SparseEntry)) {
+            SparseEntry e;
+            std::memcpy(&e, body.data() + off, sizeof(SparseEntry));
+            DYNMPI_REQUIRE(e.col > prev && e.col < global_cols_,
+                           "unpacked column out of range or out of order "
+                           "for " + name_);
+            prev = e.col;
+        }
     }
     for (std::size_t k = 0; k < rows.size(); ++k) {
         const int r = rows.row_id(k);
@@ -170,7 +181,7 @@ void SparseMatrix::unpack_rows(const RowPayload& rows) {
              off += sizeof(SparseEntry)) {
             SparseEntry e;
             std::memcpy(&e, body.data() + off, sizeof(SparseEntry));
-            it->second.push_back(e); // wire order is column order
+            it->second.push_back(e); // column order, checked above
         }
         held_.add(r, r + 1);
         mark_row_dirty(r);

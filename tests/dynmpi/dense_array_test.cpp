@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/wire.hpp"
@@ -139,10 +141,10 @@ void put64(std::vector<std::byte>& out, std::uint64_t v) {
     wire::Writer(out).u64(v);
 }
 
-TEST(RowCodec, FlattenMatchesTheFlatWireFormat) {
-    // Golden bytes: the flat pack format of rows {1, 2, 5} of a 2-double
-    // array, row r holding (r, r + 0.25), as packed before row bodies were
-    // shared (x86-64, little-endian).
+TEST(RowCodec, GoldenHeaderAndBodies) {
+    // Golden bytes of rows {1, 2, 5} of a 2-double array, row r holding
+    // (r, r + 0.25) (x86-64, little-endian): the header is u32 nrows, then
+    // per row u32 id + u64 nbytes; each body is its row's two doubles.
     DenseArray a("A", 8, 2, sizeof(double));
     RowSet rows;
     rows.add(1, 3);
@@ -150,21 +152,41 @@ TEST(RowCodec, FlattenMatchesTheFlatWireFormat) {
     a.ensure_rows(rows);
     for (int r : rows.to_vector())
         for (int j = 0; j < 2; ++j) a.at<double>(r, j) = r + 0.25 * j;
-    const std::vector<std::byte> golden = from_hex(
-        "03000000010000001000000000000000"
-        "000000000000f03f000000000000f43f"
-        "02000000100000000000000000000000"
-        "00000040000000000000024005000000"
-        "10000000000000000000000000001440"
-        "0000000000001540");
+    const std::vector<std::byte> golden_header = from_hex(
+        "03000000"
+        "010000001000000000000000"
+        "020000001000000000000000"
+        "050000001000000000000000");
+    const std::vector<std::vector<std::byte>> golden_bodies = {
+        from_hex("000000000000f03f000000000000f43f"),
+        from_hex("00000000000000400000000000000240"),
+        from_hex("00000000000014400000000000001540"),
+    };
     RowPayload payload = a.pack_rows(rows);
-    EXPECT_EQ(payload.flatten(), golden);
-    EXPECT_EQ(payload.wire_size(), golden.size());
-    // parse() reads the same bytes back to an equivalent payload.
-    RowPayload parsed = RowPayload::parse(golden);
-    EXPECT_EQ(parsed.header(), payload.header());
-    EXPECT_EQ(parsed.flatten(), golden);
-    EXPECT_EQ(parsed.rows(), rows);
+    EXPECT_EQ(payload.header(), golden_header);
+    ASSERT_EQ(payload.size(), golden_bodies.size());
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+        const sim::SharedBytes& body = payload.body(k);
+        EXPECT_EQ(std::vector<std::byte>(body.data(),
+                                         body.data() + body.size()),
+                  golden_bodies[k])
+            << "row " << payload.row_id(k);
+    }
+    EXPECT_EQ(payload.wire_size(), 4u + 3u * (12u + 16u));
+    EXPECT_EQ(payload.rows(), rows);
+
+    // The same bytes, as a receiver sees them, unpack to the same rows.
+    std::vector<sim::SharedBytes> bodies;
+    for (const auto& g : golden_bodies) {
+        bodies.push_back(sim::SharedBytes::allocate(g.size(), false));
+        std::memcpy(bodies.back().data(), g.data(), g.size());
+    }
+    DenseArray dst("A", 8, 2, sizeof(double));
+    dst.unpack_rows(RowPayload(golden_header, std::move(bodies)));
+    EXPECT_EQ(dst.held(), rows);
+    for (int r : rows.to_vector())
+        for (int j = 0; j < 2; ++j)
+            EXPECT_DOUBLE_EQ(dst.at<double>(r, j), r + 0.25 * j);
 }
 
 TEST(RowCodec, ByReferenceUnpackSharesTheBody) {
@@ -286,12 +308,6 @@ TEST(RowCodec, UnpackRejectsMalformedPayloads) {
         std::vector<sim::SharedBytes> bodies(1);
         EXPECT_THROW(RowPayload(std::move(header), std::move(bodies)), Error);
     }
-    // The flat form rejects trailing bytes after the last row.
-    auto src = make();
-    src.ensure_rows(RowSet(0, 1));
-    auto flat = src.pack_rows(RowSet(0, 1)).flatten();
-    flat.push_back(std::byte{0});
-    EXPECT_THROW(RowPayload::parse(flat), Error);
 }
 
 // ---------------------------------------------------------------------------

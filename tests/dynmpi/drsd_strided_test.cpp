@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dynmpi/redistributor.hpp"
+#include "transfer_rows_oracle.hpp"
 
 namespace dynmpi {
 namespace {

@@ -1,12 +1,15 @@
 // Failure injection and malformed-input fuzzing.
 //
-// Redistribution trusts wire payloads produced by pack_rows; these tests
-// feed truncated, corrupted, and randomized buffers into unpack_rows and
-// assert that every malformed input is rejected with a clean Error — never
-// a crash, never silent acceptance of a short buffer.
+// Row payloads reach unpack_rows through recv_rows, which frames a packet's
+// header and bodies as a RowPayload; these tests feed truncated, corrupted
+// and randomized headers and bodies down that same path and assert that
+// every malformed input is rejected with a clean Error — never a crash,
+// never silent acceptance of a short buffer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/runtime.hpp"
@@ -18,107 +21,199 @@
 namespace dynmpi {
 namespace {
 
-std::vector<std::byte> packed_dense() {
+RowPayload packed_dense() {
     DenseArray a("A", 8, 4, sizeof(double));
     a.ensure_rows(RowSet(0, 4));
     for (int r = 0; r < 4; ++r)
         for (int j = 0; j < 4; ++j) a.at<double>(r, j) = r + j;
-    return a.pack_rows(RowSet(0, 4)).flatten();
+    return a.pack_rows(RowSet(0, 4));
 }
 
-std::vector<std::byte> packed_sparse() {
+RowPayload packed_sparse() {
     SparseMatrix m("S", 8, 16);
     m.ensure_rows(RowSet(0, 4));
     for (int r = 0; r < 4; ++r) m.set(r, (r * 3) % 16, 1.5 * r);
-    return m.pack_rows(RowSet(0, 4)).flatten();
+    return m.pack_rows(RowSet(0, 4));
+}
+
+/// Private copies of a payload's bodies, for a test to mutate.
+std::vector<sim::SharedBytes> copy_bodies(const RowPayload& p) {
+    std::vector<sim::SharedBytes> out;
+    for (const sim::SharedBytes& b : p.bodies()) {
+        out.push_back(sim::SharedBytes::allocate(b.size(), false));
+        if (b.size() > 0) std::memcpy(out.back().data(), b.data(), b.size());
+    }
+    return out;
+}
+
+/// A copy of `b` cut (or padded with zeros) to `n` bytes.
+sim::SharedBytes resized(const sim::SharedBytes& b, std::size_t n) {
+    sim::SharedBytes out = sim::SharedBytes::allocate(n, true);
+    if (n > 0 && b.size() > 0)
+        std::memcpy(out.data(), b.data(), std::min(n, b.size()));
+    return out;
+}
+
+/// The receive path: frame a header and bodies as recv_rows does, then
+/// unpack into `dst`.
+void receive(DistArray& dst, std::vector<std::byte> header,
+             std::vector<sim::SharedBytes> bodies) {
+    dst.unpack_rows(RowPayload(std::move(header), std::move(bodies)));
 }
 
 TEST(Fuzz, TruncatedDenseBufferRejected) {
-    auto good = packed_dense();
+    const RowPayload good = packed_dense();
+    const auto& header = good.header();
+    // A header cut short, with every body still attached.
     for (std::size_t cut : {0u, 2u, 5u, 17u, 40u}) {
-        if (cut >= good.size()) continue;
-        std::vector<std::byte> bad(good.begin(),
-                                   good.begin() + (std::ptrdiff_t)cut);
+        ASSERT_LT(cut, header.size());
+        std::vector<std::byte> bad(header.begin(),
+                                   header.begin() + (std::ptrdiff_t)cut);
         DenseArray dst("A", 8, 4, sizeof(double));
-        EXPECT_THROW(dst.unpack_rows(RowPayload::parse(bad)), Error)
+        EXPECT_THROW(receive(dst, bad, copy_bodies(good)), Error)
             << "cut=" << cut;
+        EXPECT_TRUE(dst.held().empty());
+    }
+    // A body cut short under an intact header.
+    for (std::size_t k = 0; k < good.size(); ++k) {
+        for (std::size_t cut : {0u, 1u, 31u}) {
+            auto bodies = copy_bodies(good);
+            bodies[k] = resized(bodies[k], cut);
+            DenseArray dst("A", 8, 4, sizeof(double));
+            EXPECT_THROW(receive(dst, header, std::move(bodies)), Error)
+                << "row " << k << " cut=" << cut;
+            EXPECT_TRUE(dst.held().empty());
+        }
     }
 }
 
 TEST(Fuzz, TruncatedSparseBufferRejected) {
-    auto good = packed_sparse();
+    const RowPayload good = packed_sparse();
+    const auto& header = good.header();
     for (std::size_t frac : {1u, 3u, 7u}) {
         std::vector<std::byte> bad(
-            good.begin(), good.begin() + (std::ptrdiff_t)(good.size() * frac / 8));
+            header.begin(),
+            header.begin() + (std::ptrdiff_t)(header.size() * frac / 8));
         SparseMatrix dst("S", 8, 16);
-        EXPECT_THROW(dst.unpack_rows(RowPayload::parse(bad)), Error)
+        EXPECT_THROW(receive(dst, bad, copy_bodies(good)), Error)
             << "frac=" << frac;
+    }
+    for (std::size_t k = 0; k < good.size(); ++k) {
+        const std::size_t n = good.body(k).size();
+        for (std::size_t frac : {1u, 3u, 7u}) {
+            auto bodies = copy_bodies(good);
+            bodies[k] = resized(bodies[k], n * frac / 8);
+            SparseMatrix dst("S", 8, 16);
+            EXPECT_THROW(receive(dst, header, std::move(bodies)), Error)
+                << "row " << k << " frac=" << frac;
+            EXPECT_TRUE(dst.held().empty());
+        }
     }
 }
 
 TEST(Fuzz, WrongRowSizeRejected) {
-    auto good = packed_dense();
     DenseArray narrow("A", 8, 2, sizeof(double)); // rows half the size
-    EXPECT_THROW(narrow.unpack_rows(RowPayload::parse(good)), Error);
+    EXPECT_THROW(narrow.unpack_rows(packed_dense()), Error);
+    EXPECT_TRUE(narrow.held().empty());
 }
 
 TEST(Fuzz, SparsePayloadNotEntireEntriesRejected) {
-    auto good = packed_sparse();
-    // Corrupt a row's byte-length field to a non-multiple of the entry size.
-    // Layout: u32 nrows, then u32 row_id, u64 nbytes, ...
-    std::uint64_t bogus = 13;
-    std::memcpy(good.data() + 8, &bogus, sizeof bogus);
+    const RowPayload good = packed_sparse();
+    // A consistently framed row of 13 bytes: header and body agree, so the
+    // framing accepts it, but 13 is not a whole number of entries.
+    // Header layout: u32 nrows, then per row u32 row_id, u64 nbytes.
+    std::vector<std::byte> header = good.header();
+    const std::uint64_t bogus = 13;
+    std::memcpy(header.data() + 8, &bogus, sizeof bogus);
+    auto bodies = copy_bodies(good);
+    bodies[0] = resized(bodies[0], bogus);
+    RowPayload framed(std::move(header), std::move(bodies));
     SparseMatrix dst("S", 8, 16);
-    EXPECT_THROW(dst.unpack_rows(RowPayload::parse(good)), Error);
+    EXPECT_THROW(dst.unpack_rows(framed), Error);
+    EXPECT_TRUE(dst.held().empty());
 }
 
 TEST(Fuzz, RandomBuffersNeverCrash) {
     Rng rng(31337);
+    auto junk = [&rng](std::size_t n) {
+        sim::SharedBytes out = sim::SharedBytes::allocate(n, false);
+        for (std::size_t i = 0; i < n; ++i)
+            out.data()[i] = static_cast<std::byte>(rng.next_below(256));
+        return out;
+    };
     int rejected = 0, accepted = 0;
     for (int trial = 0; trial < 300; ++trial) {
-        std::vector<std::byte> junk(rng.next_below(96));
-        for (auto& b : junk)
+        std::vector<std::byte> header(rng.next_below(96));
+        for (auto& b : header)
             b = static_cast<std::byte>(rng.next_below(256));
+        std::vector<sim::SharedBytes> bodies(rng.next_below(5));
+        for (auto& b : bodies) b = junk(rng.next_below(48));
         DenseArray d("A", 8, 4, sizeof(double));
         SparseMatrix s("S", 8, 16);
         try {
-            d.unpack_rows(RowPayload::parse(junk));
+            receive(d, header, bodies);
             ++accepted;
         } catch (const Error&) {
             ++rejected;
         }
         try {
-            s.unpack_rows(RowPayload::parse(junk));
+            receive(s, header, bodies);
             ++accepted;
         } catch (const Error&) {
             ++rejected;
         }
     }
-    // Random junk should essentially never validate (a zero-row header is
-    // the only trivially-valid input).
+    // Random junk should essentially never validate (a zero-row header
+    // with no bodies is the only trivially-valid input).
     EXPECT_GT(rejected, 300);
     (void)accepted;
 }
 
 TEST(Fuzz, MutatedValidBufferEitherRejectedOrConsistent) {
+    // One byte of the header or of a body copy is overwritten; the receiver
+    // either rejects the payload or holds rows that read back consistently.
     Rng rng(2718);
-    auto good = packed_dense();
-    for (int trial = 0; trial < 200; ++trial) {
-        auto mutated = good;
-        std::size_t pos = rng.next_below(mutated.size());
-        mutated[pos] = static_cast<std::byte>(rng.next_below(256));
-        DenseArray dst("A", 8, 4, sizeof(double));
-        try {
-            dst.unpack_rows(RowPayload::parse(mutated));
-            // If accepted, the array must be internally consistent: every
-            // held row readable.
-            for (int r : dst.held().to_vector())
-                (void)dst.row_data(r);
-        } catch (const Error&) {
-            // Clean rejection is fine.
+    for (const bool sparse : {false, true}) {
+        const RowPayload good = sparse ? packed_sparse() : packed_dense();
+        std::size_t total = good.header().size();
+        for (const sim::SharedBytes& b : good.bodies()) total += b.size();
+        for (int trial = 0; trial < 200; ++trial) {
+            std::vector<std::byte> header = good.header();
+            auto bodies = copy_bodies(good);
+            std::size_t pos = rng.next_below(total);
+            const auto value = static_cast<std::byte>(rng.next_below(256));
+            if (pos < header.size()) {
+                header[pos] = value;
+            } else {
+                pos -= header.size();
+                std::size_t k = 0;
+                while (pos >= bodies[k].size()) pos -= bodies[k++].size();
+                bodies[k].data()[pos] = value;
+            }
+            DenseArray d("A", 8, 4, sizeof(double));
+            SparseMatrix s("S", 8, 16);
+            DistArray& dst = sparse ? static_cast<DistArray&>(s) : d;
+            try {
+                receive(dst, std::move(header), std::move(bodies));
+            } catch (const Error&) {
+                continue; // clean rejection is fine
+            }
+            // Accepted: every held row is readable, and sparse rows keep
+            // strictly ascending, in-range columns.
+            for (int r : dst.held().to_vector()) {
+                if (!sparse) {
+                    (void)d.row_data(r);
+                    continue;
+                }
+                int prev = -1;
+                for (const SparseEntry& e : s.row(r)) {
+                    EXPECT_GT(e.col, prev);
+                    EXPECT_LT(e.col, s.global_cols());
+                    prev = e.col;
+                }
+            }
         }
     }
-    SUCCEED();
 }
 
 // ---------------------------------------------------------------------------

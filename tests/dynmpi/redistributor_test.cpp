@@ -8,6 +8,7 @@
 #include "dynmpi/sparse_matrix.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
+#include "transfer_rows_oracle.hpp"
 
 namespace dynmpi {
 namespace {

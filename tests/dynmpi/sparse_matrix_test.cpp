@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -127,13 +128,45 @@ TEST(SparseMatrix, UnpackRejectsRowBeyondGlobalRows) {
 
 TEST(SparseMatrix, UnpackRejectsNegativeRowId) {
     // A row id whose u32 wire encoding decodes to a negative int.
-    std::vector<std::byte> blob;
-    put32(blob, 1);           // nrows
-    put32(blob, 0xFFFFFFFFu); // row id -1
-    put64(blob, 0);           // empty payload
+    std::vector<std::byte> header;
+    put32(header, 1);           // nrows
+    put32(header, 0xFFFFFFFFu); // row id -1
+    put64(header, 0);           // empty body
+    const RowPayload bad(std::move(header), std::vector<sim::SharedBytes>(1));
     auto dst = make();
-    EXPECT_THROW(dst.unpack_rows(RowPayload::parse(blob)), Error);
+    EXPECT_THROW(dst.unpack_rows(bad), Error);
     EXPECT_TRUE(dst.held().empty());
+}
+
+TEST(SparseMatrix, UnpackRejectsBadColumnIds) {
+    // Rows 2 and 3 are packed; row 3's second entry then has its column
+    // bytes overwritten.  A column past global_cols, a negative one, or one
+    // that breaks the strictly ascending order must reject the whole
+    // payload before any row (row 2 included) is applied.
+    auto src = make();
+    src.ensure_rows(RowSet(2, 4));
+    src.set(2, 1, 2.1);
+    src.set(3, 4, 3.4);
+    src.set(3, 6, 3.6);
+    const RowPayload good = src.pack_rows(RowSet(2, 4));
+    ASSERT_EQ(good.row_id(1), 3);
+    for (int col : {99, 10, -1, 4, 2}) {
+        std::vector<sim::SharedBytes> bodies;
+        for (const sim::SharedBytes& b : good.bodies()) {
+            bodies.push_back(sim::SharedBytes::allocate(b.size(), false));
+            std::memcpy(bodies.back().data(), b.data(), b.size());
+        }
+        std::memcpy(bodies[1].data() + sizeof(SparseEntry) +
+                        offsetof(SparseEntry, col),
+                    &col, sizeof col);
+        const RowPayload bad(good.header(), std::move(bodies));
+        auto dst = make();
+        EXPECT_THROW(dst.unpack_rows(bad), Error) << "col=" << col;
+        EXPECT_TRUE(dst.held().empty()) << "col=" << col;
+    }
+    auto dst = make();
+    dst.unpack_rows(good); // the unmutated payload is accepted
+    EXPECT_DOUBLE_EQ(dst.get(3, 6), 3.6);
 }
 
 TEST(SparseMatrix, DropFreesRows) {
