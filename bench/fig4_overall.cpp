@@ -23,15 +23,6 @@ namespace {
 
 enum class Version { Dedicated, NoAdapt, DynMpi };
 
-const char* name_of(Version v) {
-    switch (v) {
-    case Version::Dedicated: return "dedicated";
-    case Version::NoAdapt: return "no-adapt";
-    case Version::DynMpi: return "dyn-mpi";
-    }
-    return "?";
-}
-
 struct RunOutcome {
     double elapsed = 0.0;
     std::vector<int> counts;

@@ -59,18 +59,32 @@ constexpr std::size_t kSmallMsg = 64;
 constexpr std::size_t kLargeMsg = 32 * 1024;
 constexpr int kCpuReps = 400; ///< sends per size for /proc-visible CPU cost
 
+// Messages are one zeroed body per burst, sent by reference: CPU, NIC and
+// traffic counters price a packet by wire_size(), exactly as for copies.
+void send_body(msg::Rank& rank, int peer, int tag,
+               const std::vector<sim::SharedBytes>& body) {
+    rank.send_wire(peer, msg::make_tag(msg::TagSpace::User, tag), nullptr, 0,
+                   body);
+}
+
+void recv_body(msg::Rank& rank, int peer, int tag, std::size_t bytes) {
+    sim::Packet p =
+        rank.recv_wire_packet(peer, msg::make_tag(msg::TagSpace::User, tag));
+    DYNMPI_CHECK(p.wire_size() == bytes, "calibration message size mismatch");
+}
+
 /// Round-trip wall time per message of `bytes`, averaged over reps.
 double pingpong(msg::Rank& rank, int peer, int base_tag, std::size_t bytes,
                 bool initiator) {
-    std::vector<std::byte> buf(bytes, std::byte{0});
+    const std::vector body{sim::SharedBytes::allocate(bytes, true)};
     double t0 = rank.hrtime();
     for (int i = 0; i < kPingPongReps; ++i) {
         if (initiator) {
-            rank.send(peer, base_tag + i, buf.data(), buf.size());
-            rank.recv(peer, base_tag + i, buf.data(), buf.size());
+            send_body(rank, peer, base_tag + i, body);
+            recv_body(rank, peer, base_tag + i, bytes);
         } else {
-            rank.recv(peer, base_tag + i, buf.data(), buf.size());
-            rank.send(peer, base_tag + i, buf.data(), buf.size());
+            recv_body(rank, peer, base_tag + i, bytes);
+            send_body(rank, peer, base_tag + i, body);
         }
     }
     return (rank.hrtime() - t0) / (2.0 * kPingPongReps);
@@ -78,18 +92,14 @@ double pingpong(msg::Rank& rank, int peer, int base_tag, std::size_t bytes,
 
 /// CPU seconds per send of `bytes`, measured with /proc around a burst.
 double cpu_per_send(msg::Rank& rank, int peer, int tag, std::size_t bytes) {
-    std::vector<std::byte> buf(bytes, std::byte{0});
+    const std::vector body{sim::SharedBytes::allocate(bytes, true)};
     double c0 = rank.proc_cpu_time();
-    for (int i = 0; i < kCpuReps; ++i)
-        rank.send(peer, tag, buf.data(), buf.size());
-    double used = rank.proc_cpu_time() - c0;
-    return used / kCpuReps;
+    for (int i = 0; i < kCpuReps; ++i) send_body(rank, peer, tag, body);
+    return (rank.proc_cpu_time() - c0) / kCpuReps;
 }
 
 void drain(msg::Rank& rank, int peer, int tag, std::size_t bytes, int count) {
-    std::vector<std::byte> buf(bytes);
-    for (int i = 0; i < count; ++i)
-        rank.recv(peer, tag, buf.data(), buf.size());
+    for (int i = 0; i < count; ++i) recv_body(rank, peer, tag, bytes);
 }
 
 }  // namespace

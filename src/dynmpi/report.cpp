@@ -90,12 +90,16 @@ std::vector<double> period_sums(const RuntimeStats& stats,
 std::string render_events(const RuntimeStats& stats) {
     auto name = [](AdaptationEvent::Kind k) {
         switch (k) {
-        case AdaptationEvent::Kind::LoadChange: return "load-change ";
+        case AdaptationEvent::Kind::LoadChange: return "load-change";
         case AdaptationEvent::Kind::Redistributed: return "redistributed";
-        case AdaptationEvent::Kind::Skipped: return "skipped      ";
-        case AdaptationEvent::Kind::Dropped: return "dropped      ";
-        case AdaptationEvent::Kind::LogicalDrop: return "logical-drop ";
-        case AdaptationEvent::Kind::Readded: return "re-added     ";
+        case AdaptationEvent::Kind::Skipped: return "skipped";
+        case AdaptationEvent::Kind::Dropped: return "dropped";
+        case AdaptationEvent::Kind::LogicalDrop: return "logical-drop";
+        case AdaptationEvent::Kind::Readded: return "re-added";
+        case AdaptationEvent::Kind::NodeCrash: return "node-crash";
+        case AdaptationEvent::Kind::Quarantine: return "quarantined";
+        case AdaptationEvent::Kind::Readmit: return "readmitted";
+        case AdaptationEvent::Kind::Rejoin: return "rejoined";
         }
         return "?";
     };
@@ -103,7 +107,8 @@ std::string render_events(const RuntimeStats& stats) {
     std::ostringstream os;
     for (const auto& e : stats.events)
         os << "t=" << fmt(e.time_s, 2) << "s  cyc " << std::setw(4) << e.cycle
-           << "  " << name(e.kind) << "  " << e.detail << '\n';
+           << "  " << std::left << std::setw(13) << name(e.kind) << std::right
+           << "  " << e.detail << '\n';
     return os.str();
 }
 

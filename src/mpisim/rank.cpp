@@ -157,12 +157,21 @@ sim::Packet Rank::recv_packet(int src, std::uint64_t tag, bool any_tag) {
     return std::move(rs.recv_result);
 }
 
+sim::Packet Rank::recv_flat_packet(int src, std::uint64_t tag, bool any_tag) {
+    sim::Packet p = recv_packet(src, tag, any_tag);
+    // A flat receive hands back the inline payload only; segments would be
+    // dropped without a trace.
+    DYNMPI_CHECK(p.segments.empty(),
+                 "segmented packet received through a flat receive");
+    return p;
+}
+
 std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
                        int* out_src, int* out_tag) {
     bool any_tag = tag == kAnyTag;
     std::uint64_t wt = any_tag ? make_tag(TagSpace::User, 0)
                                : wire_tag(tag);
-    sim::Packet p = recv_packet(src, wt, any_tag);
+    sim::Packet p = recv_flat_packet(src, wt, any_tag);
     DYNMPI_REQUIRE(p.payload.size() <= capacity,
                    "recv buffer too small for message");
     charge_recv_cost(p.wire_size());
@@ -216,7 +225,7 @@ std::size_t Rank::wait(Request& req) {
     if (req.complete_) return req.received_;
     DYNMPI_CHECK(req.kind_ == Request::Kind::Recv,
                  "incomplete non-receive request");
-    sim::Packet p = recv_packet(req.peer_, req.wire_tag_, req.any_tag_);
+    sim::Packet p = recv_flat_packet(req.peer_, req.wire_tag_, req.any_tag_);
     DYNMPI_REQUIRE(p.payload.size() <= req.capacity_,
                    "irecv buffer too small for message");
     charge_recv_cost(p.wire_size());
@@ -257,9 +266,8 @@ sim::Packet Rank::recv_wire_packet(int src, std::uint64_t wire_tag) {
 }
 
 std::vector<std::byte> Rank::recv_wire(int src, std::uint64_t wire_tag) {
-    sim::Packet p = recv_wire_packet(src, wire_tag);
-    DYNMPI_CHECK(p.segments.empty(),
-                 "segmented packet received through the flat recv_wire");
+    sim::Packet p = recv_flat_packet(src, wire_tag, false);
+    charge_recv_cost(p.wire_size());
     return std::move(p.payload);
 }
 

@@ -95,7 +95,7 @@ public:
     template <typename T>
     std::vector<T> recv_vector(int src, int tag) {
         static_assert(std::is_trivially_copyable_v<T>);
-        sim::Packet p = recv_packet(src, wire_tag(tag), false);
+        sim::Packet p = recv_flat_packet(src, wire_tag(tag), false);
         charge_recv_cost(p.wire_size());
         std::vector<T> v(p.payload.size() / sizeof(T));
         std::memcpy(v.data(), p.payload.data(), p.payload.size());
@@ -140,7 +140,9 @@ public:
                    const std::vector<sim::SharedBytes>& segments = {});
     /// Receive a whole packet: inline payload plus segments.
     sim::Packet recv_wire_packet(int src, std::uint64_t wire_tag);
-    /// Receive a packet sent without segments; returns its payload.
+    /// Receive a packet sent without segments; returns its payload.  Like
+    /// every flat receive (recv, wait, recv_vector), it rejects a packet
+    /// that carries segments.
     std::vector<std::byte> recv_wire(int src, std::uint64_t wire_tag);
 
     // ---- control plane (daemon-band traffic) ----
@@ -207,6 +209,8 @@ private:
 
     /// Core blocking receive on the wire-tag level.
     sim::Packet recv_packet(int src, std::uint64_t tag, bool any_tag);
+    /// recv_packet for the flat receives: fails on a segmented packet.
+    sim::Packet recv_flat_packet(int src, std::uint64_t tag, bool any_tag);
     void charge_recv_cost(std::size_t bytes);
 
     Machine& machine_;

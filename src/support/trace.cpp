@@ -141,6 +141,18 @@ std::vector<TraceEvent> TraceSink::sorted_events() const {
     return out;
 }
 
+std::vector<TraceEvent> TraceSink::exported_events() const {
+    std::vector<TraceEvent> out = sorted_events();
+    if (dropped() == 0) return out;
+    // Stamped with the last surviving event's time so "t" stays sorted.
+    TraceEvent ev;
+    ev.time_s = out.empty() ? 0.0 : out.back().time_s;
+    ev.name = "trace.dropped";
+    ev.args = {targ("count", dropped())};
+    out.push_back(std::move(ev));
+    return out;
+}
+
 namespace {
 
 void append_args(std::string& out, const std::vector<TraceArg>& args) {
@@ -165,7 +177,7 @@ void append_args(std::string& out, const std::vector<TraceArg>& args) {
 
 std::string TraceSink::jsonl() const {
     std::string out;
-    for (const TraceEvent& ev : sorted_events()) {
+    for (const TraceEvent& ev : exported_events()) {
         char head[96];
         std::snprintf(head, sizeof head, "{\"t\":%.9f,\"rank\":%d,\"ev\":\"",
                       ev.time_s, ev.rank);
@@ -186,7 +198,7 @@ std::string TraceSink::jsonl() const {
 
 std::string TraceSink::chrome_trace() const {
     std::string out = "{\"traceEvents\":[\n";
-    auto events = sorted_events();
+    auto events = exported_events();
     for (std::size_t i = 0; i < events.size(); ++i) {
         const TraceEvent& ev = events[i];
         char head[160];

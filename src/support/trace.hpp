@@ -4,7 +4,7 @@
 // Call sites record typed events carrying *virtual* sim time and the
 // emitting rank — never a wall clock — so two identical runs produce
 // byte-identical traces.  Events land in a bounded ring buffer (oldest
-// dropped first, with a drop counter) and export as
+// dropped first; both exports report how many) and export as
 //
 //   - JSONL: one JSON object per line, fixed key order, for tools and the
 //     tools/check_trace.py schema validator;
@@ -93,14 +93,20 @@ public:
 
     /// JSONL export: one line per event, fixed key order
     /// {"t":..,"rank":..,"ev":"..","dur":..,"args":{..}} ("dur" only on
-    /// spans).  Events are ordered by sim time.
+    /// spans).  Events are ordered by sim time.  If the ring overflowed, a
+    /// last "trace.dropped" event (rank -1, args {"count": dropped()})
+    /// says how many events are missing; tools/check_trace.py rejects it.
     std::string jsonl() const;
 
     /// Chrome trace JSON ({"traceEvents":[...]}) for chrome://tracing;
-    /// timestamps in microseconds, one tid per rank.
+    /// timestamps in microseconds, one tid per rank.  Ends with the same
+    /// "trace.dropped" event as jsonl().
     std::string chrome_trace() const;
 
 private:
+    /// sorted_events(), then the "trace.dropped" event if any were lost.
+    std::vector<TraceEvent> exported_events() const;
+
     mutable std::mutex mu_;
     bool enabled_ = false;
     std::size_t capacity_ = kDefaultCapacity;

@@ -5,7 +5,12 @@
 // (they are printed on failure) and update them together with EXPERIMENTS.md.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "dynmpi/comm_model.hpp"
 #include "dynmpi/runtime.hpp"
+#include "mpisim/collectives.hpp"
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 
@@ -89,6 +94,73 @@ TEST(Golden, ExactRepeatability) {
     };
     double a = once(), b = once();
     EXPECT_EQ(a, b); // bit-for-bit, not just close
+}
+
+// Start-up calibration, pinned bit for bit: the fitted CommCosts, every
+// rank's virtual clock when calibrate_comm_costs returns, and the user-tag
+// traffic it delivered.  How the bursts are buffered on the host (copied or
+// shared by reference) must not move any of these; a deliberate change to
+// the calibration protocol or the cost model re-derives them.
+struct CalibrationOutcome {
+    std::uint64_t latency, bandwidth, cpu_per_msg, cpu_per_byte;
+    std::vector<std::uint64_t> clocks; ///< per rank, bits of hrtime()
+    std::uint64_t user_messages, user_bytes;
+};
+
+CalibrationOutcome calibrate_on(int nodes) {
+    sim::ClusterConfig cc;
+    cc.num_nodes = nodes;
+    cc.seed = 42;
+    msg::Machine m(cc);
+    CalibrationOutcome out{};
+    out.clocks.resize(static_cast<std::size_t>(nodes));
+    std::vector<CommCosts> fits(static_cast<std::size_t>(nodes));
+    m.run([&](msg::Rank& r) {
+        const std::size_t i = static_cast<std::size_t>(r.id());
+        fits[i] = calibrate_comm_costs(r, msg::Group::world(r));
+        out.clocks[i] = std::bit_cast<std::uint64_t>(r.hrtime());
+    });
+    for (const CommCosts& c : fits) {
+        EXPECT_EQ(c.latency_s, fits[0].latency_s);
+        EXPECT_EQ(c.bandwidth_Bps, fits[0].bandwidth_Bps);
+        EXPECT_EQ(c.cpu_per_msg_s, fits[0].cpu_per_msg_s);
+        EXPECT_EQ(c.cpu_per_byte_s, fits[0].cpu_per_byte_s);
+    }
+    out.latency = std::bit_cast<std::uint64_t>(fits[0].latency_s);
+    out.bandwidth = std::bit_cast<std::uint64_t>(fits[0].bandwidth_Bps);
+    out.cpu_per_msg = std::bit_cast<std::uint64_t>(fits[0].cpu_per_msg_s);
+    out.cpu_per_byte = std::bit_cast<std::uint64_t>(fits[0].cpu_per_byte_s);
+    const auto user = static_cast<std::size_t>(msg::TagSpace::User);
+    out.user_messages = m.traffic().messages[user];
+    out.user_bytes = m.traffic().bytes[user];
+    return out;
+}
+
+TEST(Golden, CalibrationTwoNodes) {
+    CalibrationOutcome o = calibrate_on(2);
+    EXPECT_EQ(o.latency, 0x3f1a4ab84ae641c3u);      // 100.3 us
+    EXPECT_EQ(o.bandwidth, 0x416804998f43a0e7u);    // 12.59 MB/s
+    EXPECT_EQ(o.cpu_per_msg, 0x3f0a232fe76a14e3u);  // 49.85 us
+    EXPECT_EQ(o.cpu_per_byte, 0x3e23b303b22e4987u); // 2.293 ns
+    // 0.192632144 s and 1.195324418 s
+    EXPECT_EQ(o.clocks, (std::vector<std::uint64_t>{0x3fc8a82b8b51b5deu,
+                                                    0x3ff3200c7f36b947u}));
+    EXPECT_EQ(o.user_messages, 880u);
+    EXPECT_EQ(o.user_bytes, 14446080u);
+}
+
+TEST(Golden, CalibrationThreeNodes) {
+    CalibrationOutcome o = calibrate_on(3);
+    EXPECT_EQ(o.latency, 0x3f1a4ab84ae641c3u);      // 100.3 us
+    EXPECT_EQ(o.bandwidth, 0x416804998f43a0e7u);    // 12.59 MB/s
+    EXPECT_EQ(o.cpu_per_msg, 0x3f0a232fe76a14e3u);  // 49.85 us
+    EXPECT_EQ(o.cpu_per_byte, 0x3e23b303b22e4987u); // 2.293 ns
+    // 0.192682208 s, 1.195324418 s and 1.195211441 s
+    EXPECT_EQ(o.clocks, (std::vector<std::uint64_t>{0x3fc8a9cf82f0c6e3u,
+                                                    0x3ff3200c7f36b947u,
+                                                    0x3ff31f96082e668au}));
+    EXPECT_EQ(o.user_messages, 880u);
+    EXPECT_EQ(o.user_bytes, 14446080u);
 }
 
 }  // namespace

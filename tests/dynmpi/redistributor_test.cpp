@@ -246,8 +246,9 @@ TEST(RedistExec, SparseDataAndMetadataSurvive) {
 
         for (int row : owned_rows(g, newd, r.id()).to_vector()) {
             EXPECT_DOUBLE_EQ(S.get(row, row % 40), row * 2.0);
-            if ((row * 7) % 40 != row % 40)
+            if ((row * 7) % 40 != row % 40) {
                 EXPECT_DOUBLE_EQ(S.get(row, (row * 7) % 40), -row * 1.0);
+            }
         }
     });
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace dynmpi {
 namespace {
 
@@ -77,6 +81,36 @@ TEST(Report, BadArgumentsRejected) {
     EXPECT_THROW(settled_cycle_time(make_stats(), 0), Error);
     EXPECT_THROW(period_sums(make_stats(), {20, 10}), Error);
     EXPECT_THROW(render_timeline(make_stats(), 0, 10), Error);
+}
+
+TEST(Report, RenderEventsNamesEveryKind) {
+    using K = AdaptationEvent::Kind;
+    const std::vector<std::pair<K, std::string>> kinds = {
+        {K::LoadChange, "load-change"},
+        {K::Redistributed, "redistributed"},
+        {K::Skipped, "skipped"},
+        {K::Dropped, "dropped"},
+        {K::LogicalDrop, "logical-drop"},
+        {K::Readded, "re-added"},
+        {K::NodeCrash, "node-crash"},
+        {K::Quarantine, "quarantined"},
+        {K::Readmit, "readmitted"},
+        {K::Rejoin, "rejoined"},
+    };
+    for (const auto& [kind, label] : kinds) {
+        RuntimeStats s;
+        AdaptationEvent e;
+        e.kind = kind;
+        e.cycle = 7;
+        e.time_s = 1.5;
+        e.detail = "node 2";
+        s.events.push_back(e);
+        // Names share one padded column, so details line up.
+        std::string padded = label + std::string(13 - label.size(), ' ');
+        EXPECT_EQ(render_events(s),
+                  "t=1.50s  cyc    7  " + padded + "  node 2\n")
+            << label;
+    }
 }
 
 TEST(Report, EmptyHistoryHandled) {

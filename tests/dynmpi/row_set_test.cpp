@@ -202,7 +202,9 @@ TEST_P(RowSetProperty, AlgebraMatchesBitmapModel) {
         const auto& ivs = u.intervals();
         for (std::size_t i = 0; i < ivs.size(); ++i) {
             ASSERT_LT(ivs[i].lo, ivs[i].hi);
-            if (i > 0) ASSERT_GT(ivs[i].lo, ivs[i - 1].hi); // gap required
+            if (i > 0) {
+                ASSERT_GT(ivs[i].lo, ivs[i - 1].hi); // gap required
+            }
         }
     }
 }

@@ -87,10 +87,11 @@ TEST_P(CollectiveSizes, BcastReduceAllgatherMatchBruteForce) {
         // reduce to the last member (non-zero root exercises the rotated
         // virtual-rank tree).
         auto red = reduce(r, g, n - 1, mine, OpSum{});
-        if (g.index_of(r.id()) == n - 1)
+        if (g.index_of(r.id()) == n - 1) {
             for (int i = 0; i < len; ++i)
                 EXPECT_NEAR(red[(std::size_t)i], ref_sum[(std::size_t)i],
                             1e-9);
+        }
 
         // allgather reassembles every member's vector in member order.
         auto all = allgather(r, g, mine);

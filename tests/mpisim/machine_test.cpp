@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <functional>
 #include <stdexcept>
 #include <thread>
 
@@ -252,18 +253,44 @@ TEST(Machine, SegmentedSendCostsExactlyLikeFlat) {
     EXPECT_EQ(seg.network_bytes, flat.network_bytes);
 }
 
+// Every flat receive hands back the inline payload only, so a segment
+// would be dropped without a trace (the user-level ones would report 0
+// bytes here).  Each must refuse the packet instead.
 TEST(Machine, FlatReceiveRejectsSegmentedPacket) {
-    Machine m(cfg(2));
-    const std::uint64_t tag = make_tag(TagSpace::Runtime, 4);
-    EXPECT_THROW(m.run([&](Rank& r) {
-        if (r.id() == 0) {
-            r.send_wire(1, tag, nullptr, 0,
-                        {sim::SharedBytes::allocate(8, true)});
-        } else {
-            (void)r.recv_wire(0, tag); // would silently drop the segment
-        }
-    }),
-                 Error);
+    const std::uint64_t runtime_tag = make_tag(TagSpace::Runtime, 4);
+    const std::uint64_t user_tag = make_tag(TagSpace::User, 6);
+    struct FlatReceive {
+        std::uint64_t tag;
+        std::function<void(Rank&)> recv;
+    };
+    const std::vector<FlatReceive> receives = {
+        {runtime_tag, [&](Rank& r) { (void)r.recv_wire(0, runtime_tag); }},
+        {user_tag,
+         [](Rank& r) {
+             std::byte buf[16];
+             (void)r.recv(0, 6, buf, sizeof buf);
+         }},
+        {user_tag,
+         [](Rank& r) {
+             std::byte buf[16];
+             Request req = r.irecv(0, 6, buf, sizeof buf);
+             (void)r.wait(req);
+         }},
+        {user_tag, [](Rank& r) { (void)r.recv_vector<std::byte>(0, 6); }},
+    };
+    for (std::size_t i = 0; i < receives.size(); ++i) {
+        Machine m(cfg(2));
+        EXPECT_THROW(m.run([&](Rank& r) {
+            if (r.id() == 0) {
+                r.send_wire(1, receives[i].tag, nullptr, 0,
+                            {sim::SharedBytes::allocate(8, true)});
+            } else {
+                receives[i].recv(r);
+            }
+        }),
+                     Error)
+            << "flat receive #" << i;
+    }
 }
 
 TEST(Machine, CrashedSenderStillDeliversSharedBody) {
@@ -282,8 +309,9 @@ TEST(Machine, CrashedSenderStillDeliversSharedBody) {
             sim::SharedBytes body = sim::SharedBytes::allocate(n, false);
             for (std::size_t i = 0; i < n; ++i)
                 body.data()[i] = static_cast<std::byte>(i % 251);
-            r.send_wire(1, tag, nullptr, 0, {body});
-            EXPECT_EQ(body.use_count(), 2u); // the packet holds one
+            const std::vector<sim::SharedBytes> segs{body};
+            r.send_wire(1, tag, nullptr, 0, segs);
+            EXPECT_EQ(body.use_count(), 3u); // `segs` and the packet hold one
             r.compute(10.0); // crashes at t=0.02; unwinding drops `body`
         } else {
             // Sleep past the delivery, so the receive finds the packet

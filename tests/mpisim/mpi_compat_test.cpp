@@ -93,7 +93,9 @@ TEST(MpiCompat, BcastAndReduce) {
 
         int x = 1, total = 0;
         MPI_Reduce(&x, &total, 1, MPI_INT, MPI_SUM, 0, MPI_COMM_WORLD);
-        if (r.id() == 0) EXPECT_EQ(total, 4);
+        if (r.id() == 0) {
+            EXPECT_EQ(total, 4);
+        }
         MPI_Finalize();
     });
 }

@@ -91,6 +91,37 @@ TEST(Trace, RingDropsOldestAndCounts) {
     EXPECT_DOUBLE_EQ(evs.front().time_s, 6.0); // 0..5 were dropped
 }
 
+TEST(Trace, ExportsReportDroppedEvents) {
+    TraceSink s;
+    s.enable(/*capacity=*/2);
+    for (int i = 0; i < 5; ++i)
+        s.instant(0.5 * i, 0, "runtime.grace_enter", {targ("cycle", i)});
+    ASSERT_EQ(s.dropped(), 3u);
+    // The two survivors, then the loss stamped at the last one's time.
+    EXPECT_EQ(s.jsonl(),
+              "{\"t\":1.500000000,\"rank\":0,\"ev\":\"runtime.grace_enter\","
+              "\"args\":{\"cycle\":3}}\n"
+              "{\"t\":2.000000000,\"rank\":0,\"ev\":\"runtime.grace_enter\","
+              "\"args\":{\"cycle\":4}}\n"
+              "{\"t\":2.000000000,\"rank\":-1,\"ev\":\"trace.dropped\","
+              "\"args\":{\"count\":3}}\n");
+    EXPECT_NE(s.chrome_trace().find("{\"name\":\"trace.dropped\",\"ph\":\"i\""
+                                    ",\"s\":\"t\",\"ts\":2000000.000,"
+                                    "\"pid\":0,\"tid\":-1,\"args\":{\"count\":3}}"),
+              std::string::npos);
+    EXPECT_EQ(s.sorted_events().size(), 2u); // the buffer itself is intact
+}
+
+TEST(Trace, LosslessExportsCarryNoDropEvent) {
+    TraceSink s;
+    s.enable(/*capacity=*/2);
+    s.instant(0.0, 0, "runtime.grace_enter", {targ("cycle", 0)});
+    s.instant(1.0, 0, "runtime.grace_enter", {targ("cycle", 1)});
+    EXPECT_EQ(s.dropped(), 0u);
+    EXPECT_EQ(s.jsonl().find("trace.dropped"), std::string::npos);
+    EXPECT_EQ(s.chrome_trace().find("trace.dropped"), std::string::npos);
+}
+
 TEST(Trace, ByteIdenticalAcrossIdenticalRecordings) {
     auto run = [] {
         TraceSink s;

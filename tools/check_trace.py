@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Schema validator for Dyn-MPI JSONL traces (docs/OBSERVABILITY.md).
 
-Usage:  check_trace.py TRACE.jsonl [--require-adaptation]
+Usage:  check_trace.py TRACE.jsonl [--require-adaptation] [--allow-drops]
 
 Checks, line by line:
   * every line parses as a JSON object;
@@ -10,7 +10,10 @@ Checks, line by line:
     number;
   * "t" is non-decreasing over the file (traces export sorted by sim time);
   * known event names carry their required args (unknown event names are
-    an error — the schema is closed; extend the table when adding events).
+    an error — the schema is closed; extend the table when adding events);
+  * no events were lost: a "trace.dropped" event (the sink's ring buffer
+    overflowed, so the oldest events are missing) is an error unless
+    --allow-drops is given.
 
 With --require-adaptation the trace must additionally contain the full
 Monitor -> Grace -> redistribute -> PostGrace story:
@@ -60,6 +63,7 @@ KNOWN_EVENTS = {
     "redist.unpack": {"seq"},
     "redist.sync": {"seq"},
     "redist.cleanup": {"seq"},
+    "trace.dropped": {"count"},
     "machine.run_end": {
         "elapsed_s", "messages", "bytes", "control_messages",
         "events_fired", "peak_pending_events",
@@ -125,7 +129,7 @@ def check_line(lineno, line):
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     flags = set(argv[1:]) - set(args)
-    if len(args) != 1 or flags - {"--require-adaptation"}:
+    if len(args) != 1 or flags - {"--require-adaptation", "--allow-drops"}:
         print(__doc__, file=sys.stderr)
         return 2
     try:
@@ -156,6 +160,14 @@ def main(argv):
         name = ev.get("ev")
         if isinstance(name, str) and name not in first_seen:
             first_seen[name] = lineno
+        if name == "trace.dropped" and "--allow-drops" not in flags:
+            args = ev.get("args")
+            count = args.get("count") if isinstance(args, dict) else None
+            if not isinstance(count, int) or isinstance(count, bool) \
+                    or count > 0:
+                ok = fail(lineno, f"the trace lost {count!r} events to ring "
+                          "overflow (enable a larger capacity, or pass "
+                          "--allow-drops)")
 
     if n_events == 0:
         ok = fail(0, "trace contains no events")

@@ -11,7 +11,7 @@ Sources of truth that must agree:
 
 Name collection is lexical: any string literal whose first dotted segment
 is an observability namespace (runtime, redist, balancer, machine, fault,
-net, sim) is collected, then classified *event* / *metric* / *unknown* by
+net, sim, trace) is collected, then classified *event* / *metric* / *unknown* by
 the nearest trace()/metrics() call within the three preceding lines.
 Literals ending in '.' are dynamic-name prefixes ("fault.injected." +
 kind); docs names may use `{a,b}` alternation and `<placeholder>`
@@ -32,7 +32,7 @@ import re
 from . import Finding
 
 NAMESPACES = {"runtime", "redist", "balancer", "machine", "fault", "net",
-              "sim"}
+              "sim", "trace"}
 
 _EXACT = re.compile(r"^([a-z][a-z0-9_]*)(\.[a-z0-9_]+)+$")
 _PREFIX = re.compile(r"^([a-z][a-z0-9_]*)(\.[a-z0-9_]+)*\.$")
