@@ -12,6 +12,7 @@
 
 #include "apps/cg.hpp"
 #include "bench/bench_common.hpp"
+#include "dynmpi/report.hpp"
 
 namespace dynmpi::bench {
 namespace {
@@ -31,14 +32,7 @@ double settled_cycle(DropMode mode, int nodes, int cps) {
     double avg = 0.0;
     m.run([&](msg::Rank& r) {
         auto res = apps::run_cg(r, cfg);
-        if (r.id() == 0) {
-            const auto& h = res.stats.history;
-            double s = 0.0;
-            int n = 0;
-            for (std::size_t i = h.size() - 100; i < h.size(); ++i, ++n)
-                s += h[i].max_wall_s;
-            avg = s / n;
-        }
+        if (r.id() == 0) avg = settled_cycle_time(res.stats, 100);
     });
     return avg;
 }

@@ -17,13 +17,14 @@
 #include <algorithm>
 
 #include "bench/bench_common.hpp"
+#include "dynmpi/report.hpp"
 
 namespace dynmpi::bench {
 namespace {
 
 struct Fig5Outcome {
     double total = 0.0;
-    double period[3] = {0, 0, 0}; ///< sum of cycle walls per period
+    std::vector<double> period; ///< sum of cycle walls per period
     double redist_s = 0.0;
     int redistributions = 0;
 };
@@ -48,8 +49,8 @@ Fig5Outcome run_test(int period_cycles, int max_redists) {
     m.run([&](msg::Rank& r) {
         auto res = apps::run_jacobi(r, cfg);
         if (r.id() == 0) {
-            for (const auto& rec : res.stats.history)
-                out.period[rec.cycle / period_cycles] += rec.wall_s;
+            out.period =
+                period_sums(res.stats, {period_cycles, 2 * period_cycles});
             out.redist_s = res.stats.redist_wall_s;
             out.redistributions = res.stats.redistributions;
         }

@@ -13,6 +13,7 @@
 // benefit of removal grows as the computation/communication ratio falls.
 #include "apps/sor.hpp"
 #include "bench/bench_common.hpp"
+#include "dynmpi/report.hpp"
 
 namespace dynmpi::bench {
 namespace {
@@ -24,14 +25,7 @@ double avg_settled_cycle(msg::Machine& m, const apps::SorConfig& cfg,
     apps::SorConfig local = cfg;
     m.run([&](msg::Rank& r) {
         auto res = apps::run_sor(r, local);
-        if (r.id() == 0) {
-            const auto& h = res.stats.history;
-            int n = static_cast<int>(h.size());
-            double s = 0.0;
-            for (int i = n - measure_last; i < n; ++i)
-                s += h[static_cast<std::size_t>(i)].max_wall_s;
-            avg = s / measure_last;
-        }
+        if (r.id() == 0) avg = settled_cycle_time(res.stats, measure_last);
     });
     return avg;
 }

@@ -1,0 +1,73 @@
+// The §4 adaptation policy: the Monitor → Grace → PostGrace mode as one
+// value, and the decisions ending a grace period (§4.2–4.3) and a post-grace
+// window (§4.4 node removal), as pure functions of collectively agreed
+// inputs; Runtime::end_cycle runs the collectives and applies the results.
+#pragma once
+
+#include <cstddef>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "dynmpi/balancer.hpp"
+#include "dynmpi/comm_model.hpp"
+
+namespace dynmpi {
+
+enum class DropMode { Physical, Logical };
+enum class BalanceScheme { SuccessiveBalancing, RelativePower };
+struct RuntimeOptions;
+
+/// The state machine's progress: one value, so a retried monitoring round
+/// restores it whole.
+struct ModeState {
+    /// Numbered as CycleRecord::mode.
+    enum class Mode { Monitor, Grace, PostGrace };
+    enum class Action { None, EnterGrace, DecideGrace, DecidePostGrace };
+
+    Mode mode = Mode::Monitor;
+    int grace_count = 0;
+    int post_count = 0;
+    double post_wall_sum = 0.0; ///< slowest-node wall times of the window
+
+    /// Count one monitored cycle and say what it must do.  `trigger`: some
+    /// load changed and another adaptation is allowed; `max_wall`: the
+    /// slowest active node's wall time.  A decision returns to Monitor.
+    Action step(bool trigger, double max_wall, const RuntimeOptions& opts);
+    void enter_post_grace() {
+        mode = Mode::PostGrace;
+        post_count = 0;
+        post_wall_sum = 0.0;
+    }
+    /// §4.4's measurement: mean slowest-node wall time over the window.
+    double post_mean() const { return post_wall_sum / post_count; }
+};
+
+/// What a decision reads; per-node vectors are indexed by world rank.
+struct DecisionInputs {
+    std::vector<double> loads; ///< dmpi_ps snapshot
+    std::vector<char> joinable;
+    std::vector<int> quarantined;
+    std::vector<double> speeds;
+    std::vector<double> memories; ///< bytes, 0 = unlimited
+    std::size_t row_bytes = 0;    ///< this rank's nominal bytes per row
+    CommCosts comm_costs;
+    std::vector<PhaseComm> phases;
+    std::span<const double> row_costs; ///< unloaded cost per global row
+    std::vector<int> active;           ///< world ranks
+    std::vector<int> counts;           ///< current blocks, in active order
+};
+
+/// A decision point's outcome: move to (new_active, counts) when `apply`.
+struct Decision {
+    bool apply = false; ///< grace: the change is material; post-grace: drop
+    std::vector<int> new_active;
+    std::vector<int> counts;
+    /// Post-grace: the predictor's verdict (after force_drop_loaded), if run.
+    std::optional<RemovalDecision> removal;
+};
+Decision decide_grace(const RuntimeOptions& opts, const DecisionInputs& in);
+Decision decide_post_grace(const RuntimeOptions& opts,
+                           const DecisionInputs& in, double measured_s);
+
+}  // namespace dynmpi

@@ -128,7 +128,6 @@ public:
     virtual std::size_t local_bytes() const = 0;
 
     const Stats& stats() const { return stats_; }
-    void reset_stats() { stats_ = {}; }
 
 protected:
     std::string name_;

@@ -32,10 +32,6 @@ public:
                                int block_size = 1);
 
     Kind kind() const { return kind_; }
-    int lo() const { return lo_; }
-    int hi() const { return hi_; }
-    int parties() const { return parties_; }
-    int total_iters() const { return hi_ - lo_; }
 
     /// Relative rank owning iteration i.
     int owner_of(int iter) const;

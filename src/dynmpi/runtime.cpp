@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <unordered_map>
 
 #include "mpisim/rank.hpp"
 #include "support/error.hpp"
@@ -39,11 +37,9 @@ Runtime::Runtime(msg::Rank& rank, int global_rows, RuntimeOptions opts)
                 "s): replica refreshes piggyback on the monitoring cycle "
                 "and cannot run more often than it");
     }
-    opts_.timing.grace_cycles = opts_.grace_cycles;
     bad_streak_.assign(static_cast<std::size_t>(world_.size()), 0);
     clean_streak_.assign(static_cast<std::size_t>(world_.size()), 0);
     quarantined_.assign(static_cast<std::size_t>(world_.size()), 0);
-    joinable_.assign(static_cast<std::size_t>(world_.size()), 1);
     bootstrapped_gen_.assign(static_cast<std::size_t>(world_.size()), 0);
     bootstrap_cycle_.assign(static_cast<std::size_t>(world_.size()), -1);
     seen_gen_.assign(static_cast<std::size_t>(world_.size()), 0);
@@ -691,10 +687,7 @@ void Runtime::perform_pending_restores() {
 void Runtime::run_monitoring(CycleRecord& rec, double wall) {
     // Snapshot the mode-progress state so a retried attempt replays the
     // cycle's protocol from the same starting point.
-    const auto snap_mode = mode_;
-    const auto snap_grace = grace_count_;
-    const auto snap_post = post_count_;
-    const auto snap_post_max = post_cycle_max_;
+    const ModeState snap_mode = mode_;
     const auto snap_redist = redist_seq_;
     bool repaired = false;
     for (int attempt = 0;; ++attempt) {
@@ -702,17 +695,14 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
                      "failure recovery did not converge");
         rank_.sync_revocations();
         repaired = repair_active_set() || repaired;
-        if (repaired && mode_ == Mode::Grace && participating()) {
-            // A crash repair changed row ownership mid-grace: measurements
-            // taken against the old distribution no longer align with
-            // my_iters, so restart the grace window for the new ownership.
-            // (Re-applied after every retry's snapshot restore so all
-            // attempts — and all surviving ranks — see the same state.)
-            grace_count_ = 0;
-            for (std::size_t ph = 0; ph < phases_.size(); ++ph)
-                phases_[ph].timer.start(
-                    my_iters(static_cast<int>(ph)).count());
-        }
+        // A crash repair changed row ownership mid-grace: measurements
+        // taken against the old distribution no longer align with my_iters,
+        // so restart the grace window for the new ownership.  (Re-applied
+        // after every retry's snapshot restore so all attempts — and all
+        // surviving ranks — see the same state.)
+        if (repaired && mode_.mode == ModeState::Mode::Grace &&
+            participating())
+            restart_grace();
         try {
             if (participating()) {
                 perform_pending_restores();
@@ -729,25 +719,8 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
             // Someone else started a new epoch; just retry on it.
         }
         mode_ = snap_mode;
-        grace_count_ = snap_grace;
-        post_count_ = snap_post;
-        post_cycle_max_ = snap_post_max;
         redist_seq_ = snap_redist;
     }
-}
-
-std::vector<int> Runtime::row_caps_for(const std::vector<int>& members) const {
-    std::vector<int> caps(members.size(), 0);
-    if (!opts_.memory_aware) return caps;
-    std::size_t per_row = 0;
-    for (const auto& ai : arrays_) per_row += ai.array->nominal_row_bytes();
-    if (per_row == 0) return caps;
-    for (std::size_t j = 0; j < members.size(); ++j) {
-        double mem = memories_[static_cast<std::size_t>(members[j])];
-        if (mem > 0)
-            caps[j] = static_cast<int>(mem / static_cast<double>(per_row));
-    }
-    return caps;
 }
 
 double Runtime::paging_factor() const {
@@ -758,38 +731,6 @@ double Runtime::paging_factor() const {
     std::size_t used = 0;
     for (const auto& ai : arrays_) used += ai.array->local_bytes();
     return static_cast<double>(used) > mem ? opts_.paging_slowdown : 1.0;
-}
-
-BalanceInput Runtime::balance_input(const std::vector<int>& members,
-                                    const std::vector<double>& loads,
-                                    int comm_nodes) const {
-    BalanceInput in;
-    in.row_costs = row_costs_;
-    for (int w : members)
-        in.nodes.push_back(NodePower{speeds_[static_cast<std::size_t>(w)],
-                                     loads[static_cast<std::size_t>(w)]});
-    in.comm_cpu_per_node = comm_cpu_for(comm_nodes);
-    return in;
-}
-
-std::vector<double> Runtime::shares_for(const BalanceInput& in) const {
-    return opts_.scheme == BalanceScheme::RelativePower
-               ? naive_shares(in.nodes)
-               : successive_shares(in);
-}
-
-double Runtime::comm_cpu_for(int active_nodes) const {
-    double total = 0.0;
-    for (const auto& p : phases_)
-        total += comm_cpu_per_cycle(comm_costs_, p.comm, active_nodes);
-    return total;
-}
-
-double Runtime::comm_wire_for(int active_nodes) const {
-    double total = 0.0;
-    for (const auto& p : phases_)
-        total += comm_wire_per_cycle(comm_costs_, p.comm, active_nodes);
-    return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -842,29 +783,24 @@ double Runtime::allreduce_active(double value, msg::OpMax op) {
                              sendout_seq_++);
 }
 
-std::vector<double> Runtime::read_world_loads(const msg::Group& pg) {
-    // Relative rank 0 is the single reader of the daemon mesh (a consistent
-    // snapshot); the view — loads plus quarantine flags — is broadcast
-    // within the protocol group.
+DecisionInputs Runtime::read_world_loads(const msg::Group& pg) {
+    const auto W = static_cast<std::size_t>(world_.size());
     std::vector<double> blob;
     if (rel_rank() == 0) {
         auto& cluster = rank_.machine().cluster();
-        blob.reserve(3 * static_cast<std::size_t>(world_.size()));
+        blob.assign(3 * W, 0.0);
         for (int w : world_.members()) {
             auto wi = static_cast<std::size_t>(w);
+            const bool crashed = cluster.node_crashed(w);
             // Crashed or stale-reporting nodes fall back to the last load
             // the current distribution was computed for.
-            if (cluster.node_crashed(w) || report_stale(w))
-                blob.push_back(baseline_loads_[wi]);
-            else
-                blob.push_back(cluster.daemon(w).avg_competing());
-        }
-        // Apply quarantine transitions at the decision point, so every rank
-        // that acts on this snapshot also learns the resulting flags.
-        for (int w : world_.members()) {
-            auto wi = static_cast<std::size_t>(w);
-            if (cluster.node_crashed(w)) continue;
-            if (quarantined_[wi] == 0 &&
+            blob[wi] = crashed || report_stale(w)
+                           ? baseline_loads_[wi]
+                           : cluster.daemon(w).avg_competing();
+            // Apply quarantine transitions at the decision point, so every
+            // rank that acts on this snapshot also learns the resulting
+            // flags.
+            if (!crashed && quarantined_[wi] == 0 &&
                 bad_streak_[wi] >= opts_.quarantine_bad_reports) {
                 quarantined_[wi] = 1;
                 ++stats_.quarantines;
@@ -872,7 +808,7 @@ std::vector<double> Runtime::read_world_loads(const msg::Group& pg) {
                              "node " + std::to_string(w) + " after " +
                                  std::to_string(bad_streak_[wi]) +
                                  " bad reports");
-            } else if (quarantined_[wi] != 0 &&
+            } else if (!crashed && quarantined_[wi] != 0 &&
                        clean_streak_[wi] >= opts_.readmit_clean_cycles) {
                 quarantined_[wi] = 0;
                 ++stats_.quarantine_readmits;
@@ -881,38 +817,40 @@ std::vector<double> Runtime::read_world_loads(const msg::Group& pg) {
                                  std::to_string(clean_streak_[wi]) +
                                  " clean reports");
             }
-        }
-        for (int w : world_.members())
-            blob.push_back(
-                quarantined_[static_cast<std::size_t>(w)] != 0 ? 1.0 : 0.0);
-        // Joinability: who may be (re)admitted to the active set.  Crashed
-        // nodes are out; restarted nodes (generation > 0) only become
-        // joinable once this leader has bootstrapped their new incarnation
-        // and at least one cycle has passed since (the reborn skips its
-        // bootstrap cycle).  A node already in the active set is joinable by
-        // definition — a freshly promoted leader has no bootstrap record for
-        // nodes readmitted under its predecessor.
-        for (int w : world_.members()) {
-            auto wi = static_cast<std::size_t>(w);
-            bool ok = !cluster.node_crashed(w) &&
+            blob[W + wi] = quarantined_[wi] != 0 ? 1.0 : 0.0;
+            // Joinability: who may be (re)admitted to the active set.
+            // Crashed nodes are out; restarted nodes (generation > 0) only
+            // become joinable once this leader has bootstrapped their new
+            // incarnation and at least one cycle has passed since (the
+            // reborn skips its bootstrap cycle).  A node already in the
+            // active set is joinable by definition — a freshly promoted
+            // leader has no bootstrap record for nodes readmitted under its
+            // predecessor.
+            bool ok = !crashed &&
                       (active_.contains(w) ||
                        cluster.node_generation(w) == 0 ||
                        (bootstrapped_gen_[wi] == cluster.node_generation(w) &&
                         stats_.cycles > bootstrap_cycle_[wi]));
-            blob.push_back(ok ? 1.0 : 0.0);
+            blob[2 * W + wi] = ok ? 1.0 : 0.0;
         }
     }
     msg::bcast(rank_, pg, 0, blob);
-    DYNMPI_CHECK(static_cast<int>(blob.size()) == 3 * world_.size(),
-                 "bad load snapshot");
-    for (int w = 0; w < world_.size(); ++w) {
-        quarantined_[static_cast<std::size_t>(w)] =
-            blob[static_cast<std::size_t>(world_.size() + w)] != 0.0 ? 1 : 0;
-        joinable_[static_cast<std::size_t>(w)] =
-            blob[static_cast<std::size_t>(2 * world_.size() + w)] != 0.0 ? 1
-                                                                         : 0;
+    DYNMPI_CHECK(blob.size() == 3 * W, "bad load snapshot");
+    DecisionInputs in{.loads = {blob.begin(), blob.begin() + world_.size()},
+                      .joinable = {}, .quarantined = {}, .speeds = speeds_,
+                      .memories = memories_, .row_bytes = 0,
+                      .comm_costs = comm_costs_, .phases = {},
+                      .row_costs = row_costs_, .active = active_.members(),
+                      .counts = dist_.counts()};
+    for (std::size_t w = 0; w < W; ++w) {
+        quarantined_[w] = blob[W + w] != 0.0 ? 1 : 0;
+        in.joinable.push_back(blob[2 * W + w] != 0.0 ? 1 : 0);
     }
-    return std::vector<double>(blob.begin(), blob.begin() + world_.size());
+    in.quarantined = quarantined_;
+    for (const auto& ai : arrays_)
+        in.row_bytes += ai.array->nominal_row_bytes();
+    for (const auto& p : phases_) in.phases.push_back(p.comm);
+    return in;
 }
 
 // ---------------------------------------------------------------------------
@@ -962,7 +900,7 @@ void Runtime::run_phase(int phase, const std::vector<double>& row_costs) {
     } else {
         t = rank_.compute_rows(row_costs);
     }
-    if (mode_ == Mode::Grace && !p.measured_this_cycle) {
+    if (mode_.mode == ModeState::Mode::Grace && !p.measured_this_cycle) {
         p.timer.record_cycle(t.wall, t.cpu, my_load(), node_speed());
         p.measured_this_cycle = true;
     }
@@ -973,16 +911,10 @@ void Runtime::run_phase(int phase, const std::vector<double>& row_costs) {
     if (straggle > 0.0) rank_.sleep(straggle);
 }
 
-void Runtime::enter_grace() {
-    mode_ = Mode::Grace;
-    grace_count_ = 0;
+void Runtime::restart_grace() {
+    mode_.grace_count = 0;
     for (std::size_t ph = 0; ph < phases_.size(); ++ph)
         phases_[ph].timer.start(my_iters(static_cast<int>(ph)).count());
-    if (support::trace().enabled())
-        support::trace().instant(rank_.hrtime(), rank_.id(),
-                                 "runtime.grace_enter",
-                                 {targ("cycle", stats_.cycles),
-                                  targ("grace_cycles", opts_.grace_cycles)});
 }
 
 void Runtime::apply_distribution(const msg::Group& new_active,
@@ -1028,26 +960,21 @@ void Runtime::apply_distribution(const msg::Group& new_active,
     }
 }
 
-Runtime::GraceDecision Runtime::compute_grace_decision(
-    const std::vector<double>& world_loads, const msg::Group& pg) {
-    // Assemble my per-row unloaded cost estimates across phases, aligned to
-    // my owned rows in ascending order.
-    RowSet owned = participating() ? dist_.iters_of(rel_rank()) : RowSet{};
-    std::vector<int> owned_rows_vec = owned.to_vector();
-    // row id → slot; written once, read via at() — never iterated.
-    std::unordered_map<int, std::size_t> pos; // dynmpi-lint: ok(unordered-lookup)
-    for (std::size_t i = 0; i < owned_rows_vec.size(); ++i)
-        pos[owned_rows_vec[i]] = i;
-    std::vector<double> mine(owned_rows_vec.size(), 0.0);
-    for (std::size_t ph = 0; ph < phases_.size(); ++ph) {
-        Phase& p = phases_[ph];
-        RowSet iters = my_iters(static_cast<int>(ph));
-        if (iters.empty() || p.timer.cycles_recorded() == 0) continue;
-        std::vector<double> est = p.timer.estimates();
-        std::vector<int> rows = iters.to_vector();
-        DYNMPI_CHECK(est.size() == rows.size(), "estimate alignment");
-        for (std::size_t i = 0; i < rows.size(); ++i)
-            mine[pos.at(rows[i])] += est[i];
+const std::vector<double>& Runtime::gather_row_costs(const msg::Group& pg) {
+    // My per-row unloaded cost estimates across phases, aligned to my owned
+    // rows in ascending order.  A phase's iterations owned.clip(lo, hi) are
+    // the contiguous run of `owned` after its rows below lo.
+    const RowSet owned = dist_.iters_of(rel_rank());
+    std::vector<double> mine(static_cast<std::size_t>(owned.count()), 0.0);
+    for (const Phase& p : phases_) {
+        if (p.timer.cycles_recorded() == 0) continue;
+        const std::vector<double> est = p.timer.estimates();
+        DYNMPI_CHECK(static_cast<int>(est.size()) ==
+                         owned.clip(p.lo, p.hi).count(),
+                     "estimate alignment");
+        const auto first =
+            static_cast<std::size_t>(owned.clip(0, p.lo).count());
+        for (std::size_t i = 0; i < est.size(); ++i) mine[first + i] += est[i];
     }
 
     // Active-group exchange: every active rank assembles the identical
@@ -1056,164 +983,53 @@ Runtime::GraceDecision Runtime::compute_grace_decision(
     auto per_rank_costs = msg::allgather(rank_, pg, mine);
     row_costs_.assign(static_cast<std::size_t>(global_rows_), 0.0);
     for (int a = 0; a < active_.size(); ++a) {
-        RowSet rows = owned_rows(active_, dist_, active_.member(a));
-        auto vec = rows.to_vector();
+        const std::vector<int> vec = dist_.iters_of(a).to_vector();
         const auto& costs = per_rank_costs[static_cast<std::size_t>(a)];
         DYNMPI_CHECK(costs.size() == vec.size(),
                      "cost vector does not match ownership");
         for (std::size_t i = 0; i < vec.size(); ++i)
             row_costs_[static_cast<std::size_t>(vec[i])] = costs[i];
     }
-
-    // Candidate set: currently active nodes plus any unloaded node that can
-    // be added back (paper: nodes return when conditions change).  The
-    // leader-computed joinable flags cover crashes and restarted-but-not-
-    // yet-bootstrapped incarnations; quarantined nodes sit out until
-    // readmitted.
-    std::vector<int> candidates;
-    for (int w : world_.members()) {
-        auto wi = static_cast<std::size_t>(w);
-        if (joinable_[wi] == 0 || quarantined_[wi] != 0) continue;
-        if (active_.contains(w) ||
-            world_loads[wi] <= opts_.load_change_eps)
-            candidates.push_back(w);
-    }
-    // Degenerate case: every candidate is quarantined.  Keep the current
-    // survivors rather than dissolving the computation.
-    if (candidates.empty()) candidates = active_.members();
-    msg::Group new_active(candidates);
-
-    std::vector<int> counts = apply_row_caps(
-        blocks_from_shares(row_costs_,
-                           shares_for(balance_input(candidates, world_loads,
-                                                    new_active.size())),
-                           /*min_rows=*/1),
-        row_caps_for(candidates));
-
-    // Skip the redistribution if nothing materially changes — the threshold
-    // scales with the average block so it means the same thing at every
-    // machine size.
-    bool material = new_active != active_;
-    if (!material) {
-        double threshold = opts_.min_count_change *
-                           static_cast<double>(global_rows_) /
-                           static_cast<double>(new_active.size());
-        std::vector<int> old_counts = dist_.counts();
-        for (std::size_t j = 0; j < counts.size(); ++j)
-            if (std::abs(counts[j] - old_counts[j]) > threshold)
-                material = true;
-    }
-
-    if (support::trace().enabled())
-        support::trace().instant(
-            rank_.hrtime(), rank_.id(), "balancer.decision",
-            {targ("cycle", stats_.cycles),
-             targ("scheme", opts_.scheme == BalanceScheme::RelativePower
-                                ? "relative_power"
-                                : "successive"),
-             targ("candidates", new_active.size()),
-             targ("material", material)});
-
-    GraceDecision d;
-    d.material = material;
-    d.new_active = new_active;
-    d.counts = std::move(counts);
-    d.loads = world_loads;
-    return d;
+    return row_costs_;
 }
 
-void Runtime::finish_post_grace(const std::vector<double>& world_loads) {
-    double measured =
-        std::accumulate(post_cycle_max_.begin(), post_cycle_max_.end(), 0.0) /
-        static_cast<double>(post_cycle_max_.size());
-
-    auto exit_post_grace = [&](bool dropped) {
-        mode_ = Mode::Monitor;
-        if (support::trace().enabled())
-            support::trace().instant(rank_.hrtime(), rank_.id(),
-                                     "runtime.post_grace_exit",
-                                     {targ("cycle", stats_.cycles),
-                                      targ("measured_s", measured),
-                                      targ("dropped", dropped)});
-    };
-
-    bool any_loaded = false;
-    for (int w : active_.members())
-        if (world_loads[static_cast<std::size_t>(w)] > opts_.load_change_eps)
-            any_loaded = true;
-
-    if (opts_.enable_removal && any_loaded && active_.size() > 1) {
-        BalanceInput in =
-            balance_input(active_.members(), world_loads, active_.size());
-
-        int unloaded = 0;
-        for (const auto& n : in.nodes)
-            if (!n.loaded()) ++unloaded;
-        // With nothing unloaded to fall back on (or nothing loaded to shed),
-        // there is no removal question to evaluate.
-        if (unloaded == 0 || unloaded == static_cast<int>(in.nodes.size())) {
-            exit_post_grace(false);
-            return;
+void Runtime::finish_post_grace(const msg::Group& pg) {
+    const double measured = mode_.post_mean();
+    const Decision d = decide_post_grace(opts_, read_world_loads(pg), measured);
+    // The §4.4 predictor's verdict, before any drop is executed.
+    if (d.removal && support::trace().enabled())
+        support::trace().instant(
+            rank_.hrtime(), rank_.id(), "runtime.removal_eval",
+            {targ("cycle", stats_.cycles),
+             targ("predicted_unloaded_s", d.removal->predicted_unloaded_s),
+             targ("measured_loaded_s", d.removal->measured_loaded_s),
+             targ("unloaded_nodes",
+                  static_cast<int>(d.removal->unloaded_members.size())),
+             targ("drop", d.removal->drop)});
+    if (d.apply) {
+        apply_distribution(msg::Group(d.new_active),
+                           Distribution::block(0, global_rows_, d.counts));
+        if (opts_.drop_mode == DropMode::Physical) {
+            ++stats_.physical_drops;
+            record_event(AdaptationEvent::Kind::Dropped,
+                         "active now " + std::to_string(active_.size()) +
+                             " nodes");
+        } else {
+            ++stats_.logical_drops;
+            record_event(AdaptationEvent::Kind::LogicalDrop,
+                         "blocks " + counts_string(d.counts));
         }
-
-        RemovalDecision d =
-            evaluate_removal(in, measured, comm_cpu_for(unloaded),
-                             comm_wire_for(unloaded));
-        if (opts_.force_drop_loaded && !d.unloaded_members.empty() &&
-            d.unloaded_members.size() < in.nodes.size())
-            d.drop = true;
-        // The §4.4 predictor's verdict, before any drop is executed.
-        if (support::trace().enabled())
-            support::trace().instant(
-                rank_.hrtime(), rank_.id(), "runtime.removal_eval",
-                {targ("cycle", stats_.cycles),
-                 targ("predicted_unloaded_s", d.predicted_unloaded_s),
-                 targ("measured_loaded_s", d.measured_loaded_s),
-                 targ("unloaded_nodes",
-                      static_cast<int>(d.unloaded_members.size())),
-                 targ("drop", d.drop)});
-        if (d.drop) {
-            // Physical: the unloaded nodes become the active set.  Logical:
-            // loaded nodes stay (static relative ranks) but keep only a
-            // minimum assignment.
-            const bool physical = opts_.drop_mode == DropMode::Physical;
-            std::vector<int> keep;
-            for (int j : d.unloaded_members) keep.push_back(active_.member(j));
-            const msg::Group new_active = physical ? msg::Group(keep) : active_;
-            std::vector<double> shares = shares_for(
-                balance_input(keep, world_loads, new_active.size()));
-            if (!physical) {
-                std::vector<double> all(in.nodes.size(), 0.0);
-                for (std::size_t k = 0; k < shares.size(); ++k)
-                    all[static_cast<std::size_t>(d.unloaded_members[k])] =
-                        shares[k];
-                shares = std::move(all);
-            }
-            auto counts = apply_row_caps(
-                blocks_from_shares(row_costs_, shares,
-                                   physical ? 1 : opts_.logical_min_rows),
-                row_caps_for(new_active.members()));
-            apply_distribution(new_active,
-                               Distribution::block(0, global_rows_, counts));
-            if (physical) {
-                ++stats_.physical_drops;
-                record_event(AdaptationEvent::Kind::Dropped,
-                             "active now " + std::to_string(active_.size()) +
-                                 " nodes");
-            } else {
-                ++stats_.logical_drops;
-                record_event(AdaptationEvent::Kind::LogicalDrop,
-                             "blocks " + counts_string(counts));
-            }
-            // Note: baseline_loads_ deliberately stays at the loads the
-            // current distribution was computed for — if the load profile
-            // shifted during the post-grace window, the very next Monitor
-            // cycle re-triggers adaptation.
-            exit_post_grace(true);
-            return;
-        }
+        // Note: baseline_loads_ deliberately stays at the loads the current
+        // distribution was computed for — if the load profile shifted
+        // during the post-grace window, the very next Monitor cycle
+        // re-triggers adaptation.
     }
-    exit_post_grace(false);
+    if (support::trace().enabled())
+        support::trace().instant(rank_.hrtime(), rank_.id(),
+                                 "runtime.post_grace_exit",
+                                 {targ("cycle", stats_.cycles),
+                                  targ("measured_s", measured),
+                                  targ("dropped", d.apply)});
 }
 
 namespace {
@@ -1225,30 +1041,32 @@ std::uint64_t status_tag(int cycle) {
 }  // namespace
 
 void Runtime::send_statuses(const msg::Group& active_before,
-                            const GraceDecision* decision) {
+                            const Decision* decision,
+                            const std::vector<double>& loads) {
     if (active_before.index_of(rank_.id()) != 0) return;
     // A retried recovery attempt must not re-send: the first copy was
     // already delivered (sends never block), and followers recv exactly one
     // status per cycle.
     if (statuses_sent_this_cycle_) return;
     statuses_sent_this_cycle_ = true;
+    const bool applied = decision && decision->apply;
+    const msg::Group now =
+        applied ? msg::Group(decision->new_active) : active_;
     for (int w : world_.members()) {
         if (active_before.contains(w)) continue;
         if (rank_.machine().cluster().node_crashed(w)) continue;
         FollowerMessage m;
-        if (decision && decision->material && decision->new_active.contains(w)) {
+        if (applied && now.contains(w)) {
             // Re-add: the follower state as of before the redistribution
             // plus both of its endpoints, so the returning node can join it
             // and the subsequent decisions.
             m = follower_state(FollowerMessage::Kind::Readd, active_before,
-                               decision->loads);
+                               loads);
             m.old_counts = dist_.counts();
-            m.new_active = decision->new_active.members();
+            m.new_active = decision->new_active;
             m.new_counts = decision->counts;
             m.row_costs = row_costs_;
         } else {
-            const msg::Group& now =
-                decision && decision->material ? decision->new_active : active_;
             m.active = now.members();
         }
         std::vector<std::byte> bytes = m.encode();
@@ -1280,9 +1098,7 @@ void Runtime::enter_post_grace() {
             }
         }
     }
-    mode_ = Mode::PostGrace;
-    post_count_ = 0;
-    post_cycle_max_.clear();
+    mode_.enter_post_grace();
     if (support::trace().enabled())
         support::trace().instant(rank_.hrtime(), rank_.id(),
                                  "runtime.post_grace_enter",
@@ -1352,58 +1168,65 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
 
     bool may_adapt = opts_.max_redistributions < 0 ||
                      stats_.redistributions < opts_.max_redistributions;
-    GraceDecision decision;
-    const GraceDecision* decision_ptr = nullptr;
-
-    switch (mode_) {
-    case Mode::Monitor:
-        if (load_changed && may_adapt) {
-            record_event(AdaptationEvent::Kind::LoadChange,
-                         "max dmpi_ps delta " + fmt(agg[0], 2));
-            enter_grace();
-        }
+    switch (mode_.step(load_changed && may_adapt, agg[1], opts_)) {
+    case ModeState::Action::None:
         break;
-    case Mode::Grace:
-        ++grace_count_;
-        if (grace_count_ >= opts_.grace_cycles) {
-            std::vector<double> loads = read_world_loads(pg);
-            decision = compute_grace_decision(loads, pg);
-            decision_ptr = &decision;
-            // Returning nodes must learn about the redistribution before it
-            // starts, so statuses go out first.
-            send_statuses(active_before, decision_ptr);
-            if (decision.material) {
-                apply_distribution(
-                    decision.new_active,
-                    Distribution::block(0, global_rows_, decision.counts));
-                record_event(AdaptationEvent::Kind::Redistributed,
-                             "blocks " + counts_string(decision.counts));
-                // The leader counts every re-added node once for the run;
-                // the rejoining ranks record the runtime.readded instants.
-                int readded = 0;
-                for (int w : active_.members())
-                    if (!active_before.contains(w)) ++readded;
-                stats_.readds += readded;
-                if (readded > 0 && support::metrics().enabled() &&
-                    active_before.index_of(me) == 0)
-                    support::metrics().counter("runtime.readds").add(readded);
-                enter_post_grace();
-            } else {
-                record_event(AdaptationEvent::Kind::Skipped,
-                             "change below threshold");
-                mode_ = Mode::Monitor;
-            }
-            baseline_loads_ = loads;
-        }
+    case ModeState::Action::EnterGrace:
+        record_event(AdaptationEvent::Kind::LoadChange,
+                     "max dmpi_ps delta " + fmt(agg[0], 2));
+        restart_grace();
+        if (support::trace().enabled())
+            support::trace().instant(
+                rank_.hrtime(), me, "runtime.grace_enter",
+                {targ("cycle", stats_.cycles),
+                 targ("grace_cycles", opts_.grace_cycles)});
         break;
-    case Mode::PostGrace:
-        post_cycle_max_.push_back(agg[1]);
-        ++post_count_;
-        if (post_count_ >= opts_.post_grace_cycles)
-            finish_post_grace(read_world_loads(pg));
+    case ModeState::Action::DecideGrace: {
+        DecisionInputs in = read_world_loads(pg);
+        in.row_costs = gather_row_costs(pg);
+        const Decision decision = decide_grace(opts_, in);
+        if (support::trace().enabled())
+            support::trace().instant(
+                rank_.hrtime(), me, "balancer.decision",
+                {targ("cycle", stats_.cycles),
+                 targ("scheme", opts_.scheme == BalanceScheme::RelativePower
+                                    ? "relative_power"
+                                    : "successive"),
+                 targ("candidates",
+                      static_cast<int>(decision.new_active.size())),
+                 targ("material", decision.apply)});
+        // Returning nodes must learn about the redistribution before it
+        // starts, so statuses go out first.
+        send_statuses(active_before, &decision, in.loads);
+        if (decision.apply) {
+            apply_distribution(
+                msg::Group(decision.new_active),
+                Distribution::block(0, global_rows_, decision.counts));
+            record_event(AdaptationEvent::Kind::Redistributed,
+                         "blocks " + counts_string(decision.counts));
+            // The leader counts every re-added node once for the run;
+            // the rejoining ranks record the runtime.readded instants.
+            int readded = 0;
+            for (int w : active_.members())
+                if (!active_before.contains(w)) ++readded;
+            stats_.readds += readded;
+            if (readded > 0 && support::metrics().enabled() &&
+                active_before.index_of(me) == 0)
+                support::metrics().counter("runtime.readds").add(readded);
+            enter_post_grace();
+        } else {
+            record_event(AdaptationEvent::Kind::Skipped,
+                         "change below threshold");
+        }
+        baseline_loads_ = std::move(in.loads);
         break;
     }
-    if (!decision_ptr) send_statuses(active_before, nullptr);
+    case ModeState::Action::DecidePostGrace:
+        finish_post_grace(pg);
+        break;
+    }
+    // A no-op when the grace decision already sent this cycle's statuses.
+    send_statuses(active_before, nullptr, {});
 }
 
 void Runtime::end_cycle() {
@@ -1416,7 +1239,7 @@ void Runtime::end_cycle() {
     rec.start_s = cycle_start_;
     rec.wall_s = wall;
     rec.max_wall_s = wall;
-    rec.mode = static_cast<int>(mode_);
+    rec.mode = static_cast<int>(mode_.mode);
 
     if (opts_.adapt) {
         // Everything below is daemon-band coordination, not app traffic.

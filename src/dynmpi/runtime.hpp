@@ -13,28 +13,16 @@
 //        rt.send_rel / rt.recv_rel, charge work via rt.run_phase(...) ...
 //     rt.end_cycle();                            — monitor, adapt (§4.2–4.4)
 //
-// end_cycle() drives a three-mode state machine executed identically on all
-// ranks (every decision is a pure function of world-collectively exchanged
-// data, so the ranks never disagree):
-//
-//   Monitor   — cheap per-cycle check: has any node's dmpi_ps load changed?
-//   Grace     — 5 cycles of per-iteration measurement (§4.2), then a new
-//               distribution via successive balancing (§4.3) and a live
-//               redistribution (§4.4).
-//   PostGrace — 10 cycles observing the new distribution; if the predicted
-//               all-unloaded configuration beats the measurement, loaded
-//               nodes are dropped — physically (removed from the active set
-//               and the relative-rank space) or logically (kept with a
-//               minimum assignment), per options.
+// end_cycle() drives the §4.2–4.4 state machine of dynmpi/adaptation.hpp,
+// executed identically on all ranks.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "dynmpi/balancer.hpp"
+#include "dynmpi/adaptation.hpp"
 #include "dynmpi/comm_model.hpp"
 #include "dynmpi/dense_array.hpp"
 #include "dynmpi/distribution.hpp"
@@ -46,9 +34,6 @@
 #include "mpisim/collectives.hpp"
 
 namespace dynmpi {
-
-enum class DropMode { Physical, Logical };
-enum class BalanceScheme { SuccessiveBalancing, RelativePower };
 
 struct RuntimeOptions {
     bool adapt = true; ///< false: behave like plain MPI (the No-Adapt baseline)
@@ -206,8 +191,6 @@ public:
     bool participating() const;
     int rel_rank() const;
     int num_active() const { return active_.size(); }
-    /// Absolute rank of an active relative rank (for messaging).
-    int abs_of_rel(int rel) const { return active_.member(rel); }
 
     /// Inclusive iteration bounds of this node for a phase (paper-style);
     /// start > end when the node holds nothing.
@@ -259,8 +242,6 @@ public:
     const std::vector<double>& last_row_costs() const { return row_costs_; }
 
 private:
-    enum class Mode { Monitor, Grace, PostGrace };
-
     struct Phase {
         int lo = 0, hi = 0;
         PhaseComm comm;
@@ -337,52 +318,35 @@ private:
 
     // ---- monitoring internals (all control-plane traffic) ----
 
-    /// One consistent view of every node's dmpi_ps average: relative rank 0
-    /// reads all daemons (single reader → no divergence) and broadcasts
-    /// within the given protocol group, together with quarantine flags.
-    /// Stale and crashed nodes fall back to their last-known load.
-    std::vector<double> read_world_loads(const msg::Group& pg);
-
-    /// Outcome of a grace period, computed identically on all active nodes.
-    struct GraceDecision {
-        bool material = false;
-        msg::Group new_active;
-        std::vector<int> counts;
-        std::vector<double> loads;
-    };
-    GraceDecision compute_grace_decision(const std::vector<double>& loads,
-                                         const msg::Group& pg);
+    /// A decision's inputs around one consistent view of every node's
+    /// dmpi_ps average: relative rank 0 reads all daemons (single reader →
+    /// no divergence) and broadcasts it, with quarantine and joinable flags,
+    /// within `pg`.  Stale and crashed nodes keep their last-known load.
+    DecisionInputs read_world_loads(const msg::Group& pg);
+    /// Allgather this grace period's per-row cost estimates into row_costs_.
+    const std::vector<double>& gather_row_costs(const msg::Group& pg);
 
     /// Per-cycle status from relative rank 0 to every removed node: Steady,
-    /// or Readd for a node the decision brings back.
+    /// or Readd for a node the decision (taken under `loads`) brings back.
     void send_statuses(const msg::Group& active_before,
-                       const GraceDecision* decision);
+                       const Decision* decision,
+                       const std::vector<double>& loads);
     void active_cycle_monitor(CycleRecord& rec, double wall);
     /// Removed-node side of a cycle: receive the status and follow() it.
     void removed_cycle_follow();
 
-    /// Per-candidate row caps from node memories (0 entries = unlimited).
-    std::vector<int> row_caps_for(const std::vector<int>& members) const;
     /// Paging factor for this node right now (1.0 when data fits).
     double paging_factor() const;
 
-    void enter_grace();
+    /// (Re)open the grace window: count from zero, restart per-row timers.
+    void restart_grace();
     /// Both sides of an applied grace decision enter post-grace here,
     /// recording a Rejoin for each revived node now active.
     void enter_post_grace();
-    void finish_post_grace(const std::vector<double>& world_loads);
+    void finish_post_grace(const msg::Group& pg);
     /// Move to (new_active, new_dist); emits the redist.apply span.
     void apply_distribution(const msg::Group& new_active,
                             const Distribution& new_dist);
-    /// The balancer's view of `members` (world ranks) under `loads`, with
-    /// communication CPU priced for `comm_nodes` active nodes.
-    BalanceInput balance_input(const std::vector<int>& members,
-                               const std::vector<double>& loads,
-                               int comm_nodes) const;
-    /// Work fractions of `in.nodes` under the configured scheme.
-    std::vector<double> shares_for(const BalanceInput& in) const;
-    double comm_cpu_for(int active_nodes) const;
-    double comm_wire_for(int active_nodes) const;
 
     msg::Rank& rank_;
     int global_rows_;
@@ -398,11 +362,8 @@ private:
     std::vector<double> memories_; ///< per world rank, bytes (0 = unlimited)
 
     CommCosts comm_costs_;
-    Mode mode_ = Mode::Monitor;
+    ModeState mode_;
     std::vector<double> baseline_loads_; ///< loads at last decision point
-    int grace_count_ = 0;
-    int post_count_ = 0;
-    std::vector<double> post_cycle_max_;
     std::vector<double> row_costs_; ///< latest global per-row cost estimates
 
     double cycle_start_ = 0.0;
@@ -415,7 +376,6 @@ private:
     std::vector<int> bad_streak_;  ///< per world rank (leader maintained)
     std::vector<int> clean_streak_;
     std::vector<int> quarantined_;  ///< per world rank, bcast with loads
-    std::vector<char> joinable_;    ///< per world rank, bcast with loads
     bool quarantine_due_ = false;   ///< leader: transitions want a grace
     bool statuses_sent_this_cycle_ = false;
 

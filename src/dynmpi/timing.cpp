@@ -9,7 +9,6 @@
 namespace dynmpi {
 
 IterationTimer::IterationTimer(TimingConfig cfg) : cfg_(cfg) {
-    DYNMPI_REQUIRE(cfg_.grace_cycles > 0, "grace period needs cycles");
     DYNMPI_REQUIRE(cfg_.jiffy_s > 0, "jiffy must be positive");
 }
 
@@ -47,7 +46,6 @@ void IterationTimer::record_cycle(const std::vector<double>& wall,
                        static_cast<int>(cpu.size()) == num_rows_,
                    "measurement length mismatch");
     DYNMPI_REQUIRE(speed > 0, "speed must be positive");
-    speed_ = speed;
 
     // gethrtime path: de-rate the wall time by the observed load, keep the
     // minimum across cycles (removes context-switch spikes).

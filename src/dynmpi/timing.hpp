@@ -22,7 +22,6 @@ namespace dynmpi {
 struct TimingConfig {
     double jiffy_s = 0.010;          ///< /proc granularity
     double proc_threshold_s = 0.010; ///< use /proc when mean row time >= this
-    int grace_cycles = 5;            ///< cycles measured per grace period
 };
 
 class IterationTimer {
@@ -42,15 +41,12 @@ public:
                       double speed);
 
     int cycles_recorded() const { return cycles_; }
-    bool complete() const { return cycles_ >= cfg_.grace_cycles; }
 
     /// Which mechanism the estimates would use right now.
     Method chosen_method() const;
 
     /// Per-row unloaded cost estimates (reference-CPU seconds).
     std::vector<double> estimates() const;
-
-    const TimingConfig& config() const { return cfg_; }
 
 private:
     /// Apply jiffy quantization to a sequence of per-row CPU times the way a
@@ -62,7 +58,6 @@ private:
     int cycles_ = 0;
     std::vector<double> hrtime_min_;  ///< min unloaded estimate per row
     std::vector<double> proc_sum_;    ///< sum of quantized /proc readings
-    double speed_ = 1.0;
 };
 
 }  // namespace dynmpi
