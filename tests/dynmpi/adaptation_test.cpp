@@ -62,6 +62,8 @@ const ModeRow kModeRows[] = {
      {Action::None, Action::None, Action::DecidePostGrace}, Mode::Monitor},
 };
 
+// Rows keep gtest's index names; ctest (gtest_discover_tests) replaces the
+// index with this printed value, so the suite lists each row by its name.
 void PrintTo(const ModeRow& r, std::ostream* os) { *os << r.name; }
 
 class AdaptationMode : public ::testing::TestWithParam<ModeRow> {};
@@ -83,11 +85,8 @@ TEST_P(AdaptationMode, Step) {
     EXPECT_EQ(s.mode, row.final_mode);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ModeTable, AdaptationMode, ::testing::ValuesIn(kModeRows),
-    [](const ::testing::TestParamInfo<ModeRow>& info) {
-        return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(ModeTable, AdaptationMode,
+                         ::testing::ValuesIn(kModeRows));
 
 TEST(AdaptationModeValue, PostMeanIsTheLeftFoldOfTheWindow) {
     // The running sum must reproduce std::accumulate over the window's
@@ -271,11 +270,8 @@ TEST_P(AdaptationGrace, Decide) {
     EXPECT_TRUE(row.counts_ok(d.counts)) << ::testing::PrintToString(d.counts);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    GraceTable, AdaptationGrace, ::testing::ValuesIn(kGraceRows),
-    [](const ::testing::TestParamInfo<GraceRow>& info) {
-        return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(GraceTable, AdaptationGrace,
+                         ::testing::ValuesIn(kGraceRows));
 
 // ---------------------------------------------------------------------------
 // Post-grace decision (§4.4)
@@ -346,11 +342,8 @@ TEST_P(AdaptationPostGrace, Decide) {
     EXPECT_TRUE(row.counts_ok(d.counts)) << ::testing::PrintToString(d.counts);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PostGraceTable, AdaptationPostGrace, ::testing::ValuesIn(kPostRows),
-    [](const ::testing::TestParamInfo<PostRow>& info) {
-        return std::string(info.param.name);
-    });
+INSTANTIATE_TEST_SUITE_P(PostGraceTable, AdaptationPostGrace,
+                         ::testing::ValuesIn(kPostRows));
 
 TEST(AdaptationPostGraceValue, SingleNodeIsNotEvaluated) {
     RuntimeOptions opts;
