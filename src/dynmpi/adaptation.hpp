@@ -50,7 +50,7 @@ struct DecisionInputs {
     std::vector<int> quarantined;
     std::vector<double> speeds;
     std::vector<double> memories; ///< bytes, 0 = unlimited
-    std::size_t row_bytes = 0;    ///< this rank's nominal bytes per row
+    std::size_t row_bytes = 0;    ///< bytes per row, agreed by every rank
     CommCosts comm_costs;
     std::vector<PhaseComm> phases;
     std::span<const double> row_costs; ///< unloaded cost per global row

@@ -76,7 +76,7 @@ public:
     void unpack_rows(const RowPayload& rows) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
-    std::size_t nominal_row_bytes() const override { return row_bytes(); }
+    std::size_t fixed_row_bytes() const override { return row_bytes(); }
     std::size_t local_bytes() const override {
         return static_cast<std::size_t>(held_.count()) * row_bytes();
     }
@@ -116,7 +116,7 @@ public:
     void unpack_rows(const RowPayload& rows) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
-    std::size_t nominal_row_bytes() const override { return row_bytes(); }
+    std::size_t fixed_row_bytes() const override { return row_bytes(); }
     std::size_t local_bytes() const override { return buffer_.size(); }
 
 private:

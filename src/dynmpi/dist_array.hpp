@@ -120,9 +120,11 @@ public:
     RowSet dirty_rows(const RowSet& scope) const;
     void clear_dirty(const RowSet& rows);
 
-    /// Expected storage per row (dense: exact; sparse: current average) —
-    /// the basis for memory-aware balancing.
-    virtual std::size_t nominal_row_bytes() const = 0;
+    /// Bytes per row if every row of the array has that size (dense), else
+    /// 0 (sparse).  Memory-aware balancing needs a row size every rank
+    /// agrees on, so it pools local_bytes() over held() for arrays whose
+    /// rows vary.
+    virtual std::size_t fixed_row_bytes() const = 0;
 
     /// Actual bytes of application data held locally right now.
     virtual std::size_t local_bytes() const = 0;

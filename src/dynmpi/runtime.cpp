@@ -847,10 +847,34 @@ DecisionInputs Runtime::read_world_loads(const msg::Group& pg) {
         in.joinable.push_back(blob[2 * W + w] != 0.0 ? 1 : 0);
     }
     in.quarantined = quarantined_;
-    for (const auto& ai : arrays_)
-        in.row_bytes += ai.array->nominal_row_bytes();
+    in.row_bytes = agreed_row_bytes(pg);
     for (const auto& p : phases_) in.phases.push_back(p.comm);
     return in;
+}
+
+std::size_t Runtime::agreed_row_bytes(const msg::Group& pg) {
+    std::size_t bytes = 0;
+    std::vector<double> pooled; // per sparse array: held bytes, held rows
+    for (const auto& ai : arrays_) {
+        if (const std::size_t b = ai.array->fixed_row_bytes()) {
+            bytes += b;
+        } else {
+            pooled.push_back(static_cast<double>(ai.array->local_bytes()));
+            pooled.push_back(static_cast<double>(ai.array->held().count()));
+        }
+    }
+    // Only a cap reads the row size, so only a run with one pays for the
+    // collective.
+    const bool capped =
+        opts_.memory_aware && std::any_of(memories_.begin(), memories_.end(),
+                                          [](double m) { return m > 0; });
+    if (pooled.empty() || !capped) return bytes;
+    pooled = msg::allreduce(rank_, pg, std::move(pooled), msg::OpSum{});
+    for (std::size_t k = 0; k < pooled.size(); k += 2)
+        if (pooled[k + 1] > 0)
+            bytes += static_cast<std::size_t>(
+                std::ceil(pooled[k] / pooled[k + 1]));
+    return bytes;
 }
 
 // ---------------------------------------------------------------------------

@@ -323,6 +323,9 @@ private:
     /// no divergence) and broadcasts it, with quarantine and joinable flags,
     /// within `pg`.  Stale and crashed nodes keep their last-known load.
     DecisionInputs read_world_loads(const msg::Group& pg);
+    /// Bytes per row for memory caps, the same on every rank of `pg`: exact
+    /// for dense arrays, the mean over every row `pg` holds for sparse ones.
+    std::size_t agreed_row_bytes(const msg::Group& pg);
     /// Allgather this grace period's per-row cost estimates into row_costs_.
     const std::vector<double>& gather_row_costs(const msg::Group& pg);
 

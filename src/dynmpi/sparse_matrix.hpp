@@ -100,12 +100,7 @@ public:
     void unpack_rows(const RowPayload& rows) override;
     void drop_rows(const RowSet& rows) override;
     void ensure_rows(const RowSet& rows) override;
-    std::size_t nominal_row_bytes() const override {
-        int held = held_.count();
-        int avg_nnz = held > 0 ? (nnz() + held - 1) / held : 1;
-        return static_cast<std::size_t>(std::max(1, avg_nnz)) *
-               sizeof(SparseEntry);
-    }
+    std::size_t fixed_row_bytes() const override { return 0; } // rows vary
     std::size_t local_bytes() const override {
         return static_cast<std::size_t>(nnz()) * sizeof(SparseEntry);
     }

@@ -3,6 +3,9 @@
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include <sstream>
 #include <utility>
@@ -13,6 +16,41 @@
 #include "support/trace.hpp"
 
 namespace dynmpi::msg {
+
+namespace {
+
+// Holds the calling thread to the CPU it is running on, and gives it back its
+// own mask on destruction.  Threads it spawns meanwhile inherit the one-CPU
+// mask (see the concurrency model in machine.hpp).  If any call fails, the
+// thread stays unconfined.
+class OneCpu {
+public:
+    OneCpu() {
+#ifdef __linux__
+        if (sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+        const int cpu = sched_getcpu();
+        if (cpu < 0 || cpu >= CPU_SETSIZE || !CPU_ISSET(cpu, &saved_)) return;
+        cpu_set_t one{};
+        CPU_SET(cpu, &one);
+        confined_ = sched_setaffinity(0, sizeof one, &one) == 0;
+#endif
+    }
+    ~OneCpu() {
+#ifdef __linux__
+        if (confined_) sched_setaffinity(0, sizeof saved_, &saved_);
+#endif
+    }
+    OneCpu(const OneCpu&) = delete;
+    OneCpu& operator=(const OneCpu&) = delete;
+
+private:
+#ifdef __linux__
+    cpu_set_t saved_{};
+    bool confined_ = false;
+#endif
+};
+
+}  // namespace
 
 Machine::Machine(sim::ClusterConfig config) : cluster_(std::move(config)) {
     cluster_.network().set_delivery_handler(
@@ -41,6 +79,7 @@ void Machine::run(std::function<void(Rank&)> fn) {
     // concurrency and only fragment memory.
     mallopt(M_ARENA_MAX, 1);
 #endif
+    const OneCpu confine; // before the first rank thread is spawned
 
     const int n = num_ranks();
     ranks_.reserve(static_cast<std::size_t>(n));

@@ -12,6 +12,11 @@
 // every rank whose program ends or unwinds: a dying thread never dispatches,
 // so a revive never joins its own thread.  The semaphore handoffs order all
 // state, so runs are data-race-free by construction and fully deterministic.
+// Since only one thread ever runs, run() confines its caller to the CPU it is
+// on (Linux only) before spawning rank threads; they, and every incarnation a
+// revive starts, inherit that mask, so each handoff is a same-CPU switch
+// rather than a cross-CPU wake-up.  The caller's mask comes back however
+// run() exits.
 //
 // Misbehaving programs are diagnosed rather than hung: if the event queue
 // drains while ranks are still blocked, the machine aborts them and throws a

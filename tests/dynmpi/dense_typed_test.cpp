@@ -61,7 +61,7 @@ TYPED_TEST(DenseTyped, ElementSizeMismatchRejected) {
 
 TYPED_TEST(DenseTyped, NominalBytesMatchElementSize) {
     DenseArray a("A", 4, 3, sizeof(TypeParam));
-    EXPECT_EQ(a.nominal_row_bytes(), 3 * sizeof(TypeParam));
+    EXPECT_EQ(a.fixed_row_bytes(), 3 * sizeof(TypeParam));
 }
 
 }  // namespace

@@ -94,6 +94,42 @@ TEST(MemoryAware, AdaptationHonorsNodeMemory) {
     });
 }
 
+TEST(MemoryAware, SparseRowSizeIsAgreedAcrossRanks) {
+    // Rank 0's rows hold 3 entries (48 B), rank 1's hold 5 (80 B).  Capping
+    // node 0 by each rank's own mean row would give 53 rows on rank 0 and
+    // 32 on rank 1, so the two would apply different distributions.  Both
+    // must cap with the mean over all held rows, 64 B: 40 rows.
+    auto c = cfg(2);
+    c.memories = {40 * 64, 0};
+    msg::Machine m(c);
+    m.cluster().add_load_interval(1, 0.5, -1.0, 2); // node 0 should take 48
+    std::vector<std::vector<int>> counts(2);
+    EXPECT_NO_THROW(m.run([&](msg::Rank& r) {
+        RuntimeOptions o;
+        o.calibrate = false;
+        o.enable_removal = false;
+        Runtime rt(r, 64, o);
+        SparseMatrix& a = rt.register_sparse("A", 8);
+        int ph = rt.init_phase(0, 64, PhaseComm{CommPattern::None, 0});
+        rt.add_array_access("A", AccessMode::Write, ph);
+        rt.commit_setup();
+        const int entries = r.id() == 0 ? 3 : 5;
+        for (int row : rt.my_iters(ph).to_vector())
+            for (int col = 0; col < entries; ++col) a.set(row, col, 1.0);
+        for (int t = 0; t < 80; ++t) {
+            rt.begin_cycle();
+            std::vector<double> costs(
+                static_cast<std::size_t>(rt.my_iters(ph).count()), 5e-3);
+            rt.run_phase(ph, costs);
+            rt.end_cycle();
+        }
+        EXPECT_GE(rt.stats().redistributions, 1);
+        counts[static_cast<std::size_t>(r.id())] = rt.distribution().counts();
+    }));
+    EXPECT_EQ(counts[0], (std::vector<int>{40, 24}));
+    EXPECT_EQ(counts[1], counts[0]);
+}
+
 TEST(MemoryAware, PagingInflatesCharges) {
     auto c = cfg(1);
     c.memories = {8 * 16 * sizeof(double)}; // fits only 8 of 16 rows

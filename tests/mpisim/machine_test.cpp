@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -204,6 +209,79 @@ TEST(Machine, ReviveRightAfterUnwindRunsOffTheDyingThread) {
     EXPECT_EQ(starts, (std::vector<int>{1, 2}));
     EXPECT_NEAR(ends[0], 2.0, 1e-6);
     EXPECT_NEAR(ends[1], 3.0, 1e-6); // revived at t=1, then 2 s of compute
+}
+
+#ifdef __linux__
+// The CPUs in a thread's affinity mask; empty if it cannot be read.
+std::vector<int> cpus_of(pthread_t thread) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (pthread_getaffinity_np(thread, sizeof set, &set) != 0) return {};
+    std::vector<int> cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    return cpus;
+}
+#endif
+
+TEST(Machine, RanksShareOneCpu) {
+#ifndef __linux__
+    GTEST_SKIP() << "CPU affinity masks are Linux-only";
+#else
+    // Node 1 crashes at t=1 and revives at t=1.5, while ranks 0 and 2 are
+    // still computing: a rank thread dispatches the revive and starts the
+    // new incarnation.  Every incarnation, and the parked caller, must be
+    // held to the same single CPU.
+    Machine m(cfg(3));
+    sim::Cluster& c = m.cluster();
+    c.engine().at(sim::from_seconds(1.0), [&c] { c.crash_node(1); });
+    c.engine().at(sim::from_seconds(1.5), [&c] { c.revive_node(1); });
+    const pthread_t caller = pthread_self();
+    std::vector<int> starts(3, 0);
+    std::vector<std::vector<int>> masks; // one per incarnation, then caller
+    m.run([&](Rank& r) {
+        const int incarnation = starts[static_cast<std::size_t>(r.id())]++;
+        masks.push_back(cpus_of(pthread_self()));
+        if (r.id() == 0) masks.push_back(cpus_of(caller));
+        r.compute(r.id() == 1 && incarnation == 0 ? 10.0 : 2.0);
+    });
+    EXPECT_EQ(starts, (std::vector<int>{1, 2, 1}));
+    ASSERT_EQ(masks.size(), 5u);
+    ASSERT_EQ(masks[0].size(), 1u);
+    for (const auto& mask : masks) EXPECT_EQ(mask, masks[0]);
+#endif
+}
+
+TEST(Machine, RunRestoresCallerAffinity) {
+#ifndef __linux__
+    GTEST_SKIP() << "CPU affinity masks are Linux-only";
+#else
+    const std::vector<int> before = cpus_of(pthread_self());
+    ASSERT_FALSE(before.empty());
+    {
+        Machine m(cfg(2));
+        m.run([](Rank& r) { r.compute(0.1); });
+    }
+    EXPECT_EQ(cpus_of(pthread_self()), before) << "after a normal run";
+    {
+        Machine m(cfg(2));
+        EXPECT_THROW(m.run([](Rank& r) {
+            if (r.id() == 1) throw std::runtime_error("rank boom");
+            r.compute(0.1);
+        }),
+                     std::runtime_error);
+    }
+    EXPECT_EQ(cpus_of(pthread_self()), before) << "after a throwing run";
+    {
+        Machine m(cfg(2));
+        EXPECT_THROW(m.run([](Rank& r) {
+            double buf;
+            if (r.id() == 0) r.recv(1, 7, &buf, sizeof buf); // never sent
+        }),
+                     Error);
+    }
+    EXPECT_EQ(cpus_of(pthread_self()), before) << "after a deadlocked run";
+#endif
 }
 
 // One runtime-tagged message from rank 0 to rank 1: `inline_bytes` copied,
