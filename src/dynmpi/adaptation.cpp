@@ -21,7 +21,7 @@ ModeState::Action ModeState::step(bool trigger, double max_wall,
         return Action::DecideGrace;
     case Mode::PostGrace:
         post_wall_sum += max_wall;
-        if (++post_count < opts.post_grace_cycles) return Action::None;
+        if (++post_count < kPostGraceCycles) return Action::None;
         mode = Mode::Monitor;
         return Action::DecidePostGrace;
     }
@@ -91,7 +91,7 @@ Decision decide_grace(const RuntimeOptions& opts, const DecisionInputs& in) {
         auto wi = static_cast<std::size_t>(w);
         if (in.joinable[wi] == 0 || in.quarantined[wi] != 0) continue;
         if (std::count(in.active.begin(), in.active.end(), w) > 0 ||
-            in.loads[wi] <= opts.load_change_eps)
+            in.loads[wi] <= kLoadChangeEps)
             d.new_active.push_back(w);
     }
     // Degenerate case: every candidate is quarantined.  Keep the current
@@ -103,7 +103,7 @@ Decision decide_grace(const RuntimeOptions& opts, const DecisionInputs& in) {
     // scales with the average block so it means the same thing at every
     // machine size.
     d.apply = d.new_active != in.active;
-    const double threshold = opts.min_count_change *
+    const double threshold = kMinCountChange *
                              static_cast<double>(in.row_costs.size()) /
                              static_cast<double>(d.new_active.size());
     for (std::size_t j = 0; !d.apply && j < d.counts.size(); ++j)
@@ -116,7 +116,7 @@ Decision decide_post_grace(const RuntimeOptions& opts,
     Decision d;
     const bool any_loaded =
         std::any_of(in.active.begin(), in.active.end(), [&](int w) {
-            return in.loads[static_cast<std::size_t>(w)] > opts.load_change_eps;
+            return in.loads[static_cast<std::size_t>(w)] > kLoadChangeEps;
         });
     if (!opts.enable_removal || !any_loaded || in.active.size() < 2) return d;
 
@@ -146,7 +146,7 @@ Decision decide_post_grace(const RuntimeOptions& opts,
         keep.push_back(in.active[static_cast<std::size_t>(j)]);
     d.new_active = physical ? keep : in.active;
     d.counts = block_counts(opts, in, d.new_active, keep,
-                            physical ? 1 : opts.logical_min_rows);
+                            physical ? 1 : kLogicalMinRows);
     return d;
 }
 

@@ -14,6 +14,19 @@
 
 namespace dynmpi {
 
+/// Cycles of the post-grace window measured before the §4.4 removal
+/// decision (the paper's fixed 10).
+inline constexpr int kPostGraceCycles = 10;
+/// dmpi_ps delta that triggers adaptation; also the load at or below which a
+/// removed node may rejoin, and above which a node makes the active set
+/// loaded for the removal decision.  Not NodePower's kLoadedAbove.
+inline constexpr double kLoadChangeEps = 0.5;
+/// A grace decision redistributes only when some block changes by more than
+/// this fraction of an average block.
+inline constexpr double kMinCountChange = 0.1;
+/// Rows kept on each logically dropped node.
+inline constexpr int kLogicalMinRows = 1;
+
 enum class DropMode { Physical, Logical };
 enum class BalanceScheme { SuccessiveBalancing, RelativePower };
 struct RuntimeOptions;

@@ -22,13 +22,19 @@
 
 namespace dynmpi {
 
+/// Load above which balancing and removal treat a node as loaded.  Lower
+/// than the adaptation trigger kLoadChangeEps (0.5, adaptation.hpp): a node
+/// at 0.3 is admitted as a grace candidate yet balanced and dropped as
+/// loaded.  adaptation_test's LoadBetweenThresholds* rows pin this.
+inline constexpr double kLoadedAbove = 0.25;
+
 /// A node's processing capability as the runtime sees it.
 struct NodePower {
     double speed = 1.0;         ///< static relative CPU speed
     double avg_competing = 0.0; ///< dmpi_ps load average
     double share() const { return 1.0 / (1.0 + avg_competing); }
     double power() const { return speed * share(); }
-    bool loaded(double eps = 0.25) const { return avg_competing > eps; }
+    bool loaded() const { return avg_competing > kLoadedAbove; }
 };
 
 struct BalanceInput {

@@ -13,6 +13,20 @@
 
 namespace dynmpi {
 
+namespace {
+// Runtime hardening (docs/FAULTS.md).
+/// Load reports older than max(this, 2 x the dmpi_ps period) fall back to the
+/// last-known value, so slow daemons are not misread as faulty ones.
+constexpr double kReportStalenessS = 3.0;
+/// Consecutive stale reports before a node is quarantined (logically dropped
+/// from the candidate set).
+constexpr int kQuarantineBadReports = 3;
+/// Consecutive clean reports before a quarantined node may be readmitted.
+constexpr int kReadmitCleanCycles = 8;
+/// Compute slowdown of a node whose arrays exceed its physical memory.
+constexpr double kPagingSlowdown = 4.0;
+}  // namespace
+
 Runtime::Runtime(msg::Rank& rank, int global_rows, RuntimeOptions opts)
     : rank_(rank),
       global_rows_(global_rows),
@@ -20,23 +34,7 @@ Runtime::Runtime(msg::Rank& rank, int global_rows, RuntimeOptions opts)
       world_(msg::Group::world(rank)),
       active_(world_) {
     DYNMPI_REQUIRE(global_rows_ > 0, "need at least one row");
-    DYNMPI_REQUIRE(opts_.grace_cycles > 0 && opts_.post_grace_cycles > 0,
-                   "grace periods must be positive");
-    DYNMPI_REQUIRE(opts_.report_staleness_s > 0.0,
-                   "staleness window must be positive");
-    DYNMPI_REQUIRE(opts_.quarantine_bad_reports > 0 &&
-                       opts_.readmit_clean_cycles > 0,
-                   "quarantine thresholds must be positive");
-    if (opts_.replicate && opts_.replica_refresh_s > 0.0) {
-        double period = sim::to_seconds(rank_.ps_daemon().period());
-        DYNMPI_REQUIRE(
-            opts_.replica_refresh_s >= period,
-            "replica_refresh_s (" + std::to_string(opts_.replica_refresh_s) +
-                "s) is shorter than the dmpi_ps monitoring period (" +
-                std::to_string(period) +
-                "s): replica refreshes piggyback on the monitoring cycle "
-                "and cannot run more often than it");
-    }
+    DYNMPI_REQUIRE(opts_.grace_cycles > 0, "grace periods must be positive");
     bad_streak_.assign(static_cast<std::size_t>(world_.size()), 0);
     clean_streak_.assign(static_cast<std::size_t>(world_.size()), 0);
     quarantined_.assign(static_cast<std::size_t>(world_.size()), 0);
@@ -163,7 +161,7 @@ int Runtime::init_phase(int lo, int hi, PhaseComm comm) {
     p.lo = lo;
     p.hi = hi;
     p.comm = comm;
-    p.timer = IterationTimer(opts_.timing);
+    p.timer = IterationTimer(rank_.node().cpu().params().jiffy_s);
     phases_.push_back(std::move(p));
     return static_cast<int>(phases_.size()) - 1;
 }
@@ -189,8 +187,8 @@ void Runtime::commit_setup() {
         return;
     }
 
-    comm_costs_ = opts_.calibrate ? calibrate_comm_costs(rank_, world_)
-                                  : opts_.comm_costs;
+    comm_costs_ =
+        opts_.calibrate ? calibrate_comm_costs(rank_, world_) : CommCosts{};
     speeds_ = msg::allgather_scalar(rank_, world_, node_speed());
     memories_ = msg::allgather_scalar(
         rank_, world_, static_cast<double>(rank_.node().memory_bytes()));
@@ -412,7 +410,7 @@ bool Runtime::report_stale(int w) const {
     const sim::PsDaemon& d = rank_.machine().cluster().daemon(w);
     if (d.last_sample_time() < 0) return false; // no completed window yet
     double age = rank_.hrtime() - sim::to_seconds(d.last_sample_time());
-    double window = std::max(opts_.report_staleness_s,
+    double window = std::max(kReportStalenessS,
                              2.0 * sim::to_seconds(d.period()));
     return age > window;
 }
@@ -442,9 +440,9 @@ void Runtime::leader_scan_reports() {
             ++clean_streak_[wi];
         }
         bool q = quarantined_[wi] != 0;
-        if (!q && bad_streak_[wi] >= opts_.quarantine_bad_reports)
+        if (!q && bad_streak_[wi] >= kQuarantineBadReports)
             quarantine_due_ = true;
-        if (q && clean_streak_[wi] >= opts_.readmit_clean_cycles)
+        if (q && clean_streak_[wi] >= kReadmitCleanCycles)
             quarantine_due_ = true;
     }
 }
@@ -730,7 +728,7 @@ double Runtime::paging_factor() const {
     if (mem <= 0) return 1.0;
     std::size_t used = 0;
     for (const auto& ai : arrays_) used += ai.array->local_bytes();
-    return static_cast<double>(used) > mem ? opts_.paging_slowdown : 1.0;
+    return static_cast<double>(used) > mem ? kPagingSlowdown : 1.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -801,7 +799,7 @@ DecisionInputs Runtime::read_world_loads(const msg::Group& pg) {
             // rank that acts on this snapshot also learns the resulting
             // flags.
             if (!crashed && quarantined_[wi] == 0 &&
-                bad_streak_[wi] >= opts_.quarantine_bad_reports) {
+                bad_streak_[wi] >= kQuarantineBadReports) {
                 quarantined_[wi] = 1;
                 ++stats_.quarantines;
                 record_event(AdaptationEvent::Kind::Quarantine,
@@ -809,7 +807,7 @@ DecisionInputs Runtime::read_world_loads(const msg::Group& pg) {
                                  std::to_string(bad_streak_[wi]) +
                                  " bad reports");
             } else if (!crashed && quarantined_[wi] != 0 &&
-                       clean_streak_[wi] >= opts_.readmit_clean_cycles) {
+                       clean_streak_[wi] >= kReadmitCleanCycles) {
                 quarantined_[wi] = 0;
                 ++stats_.quarantine_readmits;
                 record_event(AdaptationEvent::Kind::Readmit,
@@ -915,7 +913,7 @@ void Runtime::run_phase(int phase, const std::vector<double>& row_costs) {
     double paging = paging_factor();
     msg::RowTimings t;
     if (paging > 1.0) {
-        // Thrashing: every row costs paging_slowdown x its CPU time.  The
+        // Thrashing: every row costs kPagingSlowdown x its CPU time.  The
         // grace-period measurements see the inflation, so even without
         // memory-aware caps the balancer is pushed away from this node.
         std::vector<double> inflated(row_costs);
@@ -1128,7 +1126,7 @@ void Runtime::enter_post_grace() {
                                  "runtime.post_grace_enter",
                                  {targ("cycle", stats_.cycles),
                                   targ("post_grace_cycles",
-                                       opts_.post_grace_cycles)});
+                                       kPostGraceCycles)});
 }
 
 void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
@@ -1163,30 +1161,18 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
             if (gen > 0 && bootstrapped_gen_[wi] != gen)
                 send_bootstrap(w, gen);
             else if (gen > 0 && stats_.cycles > bootstrap_cycle_[wi])
-                delta = std::max(delta, opts_.load_change_eps + 1.0);
+                delta = std::max(delta, kLoadChangeEps + 1.0);
         }
         // A pending quarantine or readmit must force an adaptation round
         // even when no load moved: it changes the candidate set.
         if (quarantine_due_)
-            delta = std::max(delta, opts_.load_change_eps + 1.0);
-        // Replica-refresh go/no-go is the leader's call (time-gated), made
-        // once per cycle so recovery retries replay the same decision.
-        if (opts_.replicate && !refresh_decided_this_cycle_) {
-            refresh_decided_this_cycle_ = true;
-            double now = rank_.hrtime();
-            bool due = opts_.replica_refresh_s <= 0.0 ||
-                       last_refresh_s_ < 0.0 ||
-                       now - last_refresh_s_ >= opts_.replica_refresh_s;
-            refresh_go_cycle_ = due ? 1.0 : 0.0;
-            if (due) last_refresh_s_ = now;
-        }
+            delta = std::max(delta, kLoadChangeEps + 1.0);
     }
-    std::vector<double> agg{delta, wall,
-                            rel_rank() == 0 ? refresh_go_cycle_ : 0.0};
+    std::vector<double> agg{delta, wall};
     agg = msg::allreduce(rank_, pg, std::move(agg), msg::OpMax{});
     rec.max_wall_s = agg[1];
-    bool load_changed = agg[0] > opts_.load_change_eps;
-    if (opts_.replicate && agg[2] > 0.0 && !replica_skip_cycle_)
+    bool load_changed = agg[0] > kLoadChangeEps;
+    if (opts_.replicate && !replica_skip_cycle_)
         replica_refresh(/*wholesale=*/false,
                         static_cast<std::uint64_t>(stats_.cycles));
 
@@ -1270,8 +1256,6 @@ void Runtime::end_cycle() {
         msg::Rank::ControlScope control(rank_);
         int redist_before = stats_.redistributions;
         statuses_sent_this_cycle_ = false;
-        refresh_decided_this_cycle_ = false;
-        refresh_go_cycle_ = 0.0;
         replica_skip_cycle_ = false;
         run_monitoring(rec, wall);
         rec.redistributed = stats_.redistributions != redist_before;

@@ -43,50 +43,28 @@ struct RuntimeOptions {
     Distribution::Kind initial_dist = Distribution::Kind::Block;
     int cyclic_block_size = 1;
     int grace_cycles = 5;       ///< paper default (§4.2)
-    int post_grace_cycles = 10; ///< paper default (§4.4)
     bool enable_removal = true;
     /// Drop loaded nodes at the post-grace decision point regardless of the
     /// §4.4 predictor (benches measure both configurations this way).
     bool force_drop_loaded = false;
     DropMode drop_mode = DropMode::Physical;
     BalanceScheme scheme = BalanceScheme::SuccessiveBalancing;
-    bool calibrate = true; ///< run comm µ-benchmarks at commit_setup
-    CommCosts comm_costs;  ///< used directly when calibrate == false
-    TimingConfig timing;
+    /// Run comm µ-benchmarks at commit_setup; false prices communication
+    /// with the default CommCosts{}.
+    bool calibrate = true;
     int max_redistributions = -1;   ///< cap on adaptations; -1 = unlimited
                                     ///< (Figure 5's "Redist Once" arm uses 1)
-    double load_change_eps = 0.5;   ///< dmpi_ps delta that triggers adaptation
-    double min_count_change = 0.1;  ///< skip redistribution unless some block
-                                    ///< changes by this fraction of an
-                                    ///< average block
-    int logical_min_rows = 1; ///< rows kept on logically dropped nodes
     /// Memory-aware balancing (the AppLeS-style paging avoidance the paper
     /// cites): cap each node's block so registered arrays fit its physical
-    /// memory.  Nodes over their memory page regardless (paging_slowdown x
-    /// compute), so turning this off makes the cost visible.
+    /// memory.  Nodes over their memory page regardless (kPagingSlowdown x
+    /// compute, runtime.cpp), so turning this off makes the cost visible.
     bool memory_aware = true;
-    double paging_slowdown = 4.0;
-    // ---- runtime hardening (fault tolerance; see docs/FAULTS.md) ----
-    /// Load reports older than this fall back to the last-known value.  The
-    /// effective window is max(this, 2 x the dmpi_ps period), so slow
-    /// daemons are not misread as faulty ones.
-    double report_staleness_s = 3.0;
-    /// Consecutive stale/bad reports before a node is quarantined (logically
-    /// dropped from the candidate set).
-    int quarantine_bad_reports = 3;
-    /// Consecutive clean reports before a quarantined node may be readmitted.
-    int readmit_clean_cycles = 8;
-    // ---- crash resilience: diskless buddy replication (docs/FAULTS.md) ----
-    /// Shadow each node's owned rows of every registered array onto its
-    /// replication buddy (the successor in the active ring) so a crashed
-    /// node's block is restored with real contents instead of zero-fill.
+    /// Crash resilience (docs/FAULTS.md): shadow each node's owned rows of
+    /// every registered array onto its replication buddy (the successor in
+    /// the active ring) so a crashed node's block is restored with real
+    /// contents instead of zero-fill.  Dirty-row deltas ride every
+    /// monitoring cycle.
     bool replicate = false;
-    /// Minimum seconds between incremental replica refreshes (dirty-row
-    /// deltas piggybacked on the monitoring cycle).  0 refreshes every
-    /// cycle.  Positive values must be at least the dmpi_ps monitoring
-    /// period — refreshes ride the monitoring protocol and cannot run more
-    /// often than it.
-    double replica_refresh_s = 0.0;
 };
 
 /// What happened in one phase cycle (for benches and tests).
@@ -384,9 +362,6 @@ private:
 
     // ---- replication + rejoin state ----
     std::unique_ptr<ReplicaStore> replicas_;
-    double last_refresh_s_ = -1.0;  ///< leader: time of last refresh go
-    bool refresh_decided_this_cycle_ = false; ///< leader: go/no-go is sticky
-    double refresh_go_cycle_ = 0.0;
     int refreshes_done_ = 0;        ///< completed refreshes on this rank
     std::uint64_t replica_xfer_key_ = ~0ULL; ///< resume key (cycle or seq)
     int replica_arrays_sent_ = 0;   ///< per-key retry resume points

@@ -8,8 +8,8 @@
 
 namespace dynmpi {
 
-IterationTimer::IterationTimer(TimingConfig cfg) : cfg_(cfg) {
-    DYNMPI_REQUIRE(cfg_.jiffy_s > 0, "jiffy must be positive");
+IterationTimer::IterationTimer(double jiffy_s) : jiffy_s_(jiffy_s) {
+    DYNMPI_REQUIRE(jiffy_s_ > 0, "jiffy must be positive");
 }
 
 void IterationTimer::start(int num_rows) {
@@ -31,8 +31,7 @@ std::vector<double> IterationTimer::quantize_proc(
         cum += cpu[i];
         // Real jiffy counters are integral; the epsilon keeps accumulated
         // floating-point error from flipping an exact boundary downward.
-        double reading =
-            std::floor(cum / cfg_.jiffy_s + 1e-9) * cfg_.jiffy_s;
+        double reading = std::floor(cum / jiffy_s_ + 1e-9) * jiffy_s_;
         out[i] = reading - prev_reading;
         prev_reading = reading;
     }
@@ -71,7 +70,8 @@ IterationTimer::Method IterationTimer::chosen_method() const {
     double mean_row =
         std::accumulate(proc_sum_.begin(), proc_sum_.end(), 0.0) /
         (static_cast<double>(cycles_) * static_cast<double>(num_rows_));
-    return mean_row >= cfg_.proc_threshold_s ? Method::Proc : Method::Hrtime;
+    // The paper's rule: /proc once a mean row lasts at least one jiffy.
+    return mean_row >= jiffy_s_ ? Method::Proc : Method::Hrtime;
 }
 
 std::vector<double> IterationTimer::estimates() const {

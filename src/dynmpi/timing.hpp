@@ -5,7 +5,8 @@
 // times.  Two mechanisms are available:
 //
 //  - /proc CPU time: immune to competing processes but quantized to the
-//    10 ms jiffy, so it is only used when iterations are long enough;
+//    node's jiffy (10 ms), so it is only used when the mean row takes at
+//    least one jiffy;
 //  - gethrtime wall time: fine-grained but inflated by competing processes
 //    and by context-switch spikes; dividing by the dmpi_ps load and taking
 //    the minimum across the grace period's cycles filters the spikes.
@@ -17,18 +18,16 @@
 
 #include <vector>
 
-namespace dynmpi {
+#include "sim/cpu.hpp"
 
-struct TimingConfig {
-    double jiffy_s = 0.010;          ///< /proc granularity
-    double proc_threshold_s = 0.010; ///< use /proc when mean row time >= this
-};
+namespace dynmpi {
 
 class IterationTimer {
 public:
     enum class Method { Proc, Hrtime };
 
-    explicit IterationTimer(TimingConfig cfg = {});
+    /// `jiffy_s`: the /proc granularity of the measured node's CPU.
+    explicit IterationTimer(double jiffy_s = sim::CpuParams{}.jiffy_s);
 
     /// Begin a grace period measuring `num_rows` rows.
     void start(int num_rows);
@@ -53,7 +52,7 @@ private:
     /// /proc reader would observe them (cumulative counter, floor to jiffy).
     std::vector<double> quantize_proc(const std::vector<double>& cpu) const;
 
-    TimingConfig cfg_;
+    double jiffy_s_;
     int num_rows_ = 0;
     int cycles_ = 0;
     std::vector<double> hrtime_min_;  ///< min unloaded estimate per row

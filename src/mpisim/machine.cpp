@@ -297,8 +297,7 @@ void Machine::on_node_crash(int node) {
             rs.recv_waiting = false;
             eng.at(eng.now(), [this, r] { resume_rank(r); });
         } else if (rs.recv_waiting &&
-                   rs.recv_space !=
-                       static_cast<std::int64_t>(TagSpace::User)) {
+                   tag_space(rs.recv_tag) != TagSpace::User) {
             // Control-plane recv: revoke so the recovery loop retries on an
             // epoch-salted group.
             rs.recv_waiting = false;
@@ -322,7 +321,7 @@ void Machine::revoke_control_recvs() {
     for (int r = 0; r < static_cast<int>(ranks_.size()); ++r) {
         RankState& rs = state(r);
         if (rs.phase != RankPhase::Blocked || !rs.recv_waiting) continue;
-        if (rs.recv_space == static_cast<std::int64_t>(TagSpace::User))
+        if (tag_space(rs.recv_tag) == TagSpace::User)
             continue; // user-plane traffic is never revoked
         rs.recv_waiting = false;
         rs.revoked = true;
@@ -342,30 +341,22 @@ void Machine::on_delivery(sim::Packet&& p) {
         traffic_.bytes[space] += p.wire_size();
     }
     RankState& rs = state(dst);
-    if (rs.recv_waiting) {
-        bool src_ok = rs.recv_src == kAnySource || rs.recv_src == p.src;
-        bool tag_ok =
-            rs.recv_any_tag
-                ? (rs.recv_space < 0 ||
-                   static_cast<std::int64_t>(tag_space(p.tag)) ==
-                       rs.recv_space)
-                : p.tag == rs.recv_tag;
-        if (src_ok && tag_ok) {
-            rs.recv_waiting = false;
-            rs.recv_result = std::move(p);
-            // A blocked process that becomes runnable on a loaded node waits
-            // for the scheduler (wake-up latency).
-            double delay = cluster_.node(dst).cpu().next_wake_delay();
-            if (delay > 0.0) {
-                std::uint64_t inc = incarnation(dst);
-                cluster_.engine().after(
-                    sim::from_seconds(delay),
-                    [this, dst, inc] { resume_rank_inc(dst, inc); });
-            } else {
-                resume_rank(dst);
-            }
-            return;
+    if (rs.recv_waiting &&
+        packet_matches(p, rs.recv_src, rs.recv_tag, rs.recv_any_tag)) {
+        rs.recv_waiting = false;
+        rs.recv_result = std::move(p);
+        // A blocked process that becomes runnable on a loaded node waits for
+        // the scheduler (wake-up latency).
+        double delay = cluster_.node(dst).cpu().next_wake_delay();
+        if (delay > 0.0) {
+            std::uint64_t inc = incarnation(dst);
+            cluster_.engine().after(
+                sim::from_seconds(delay),
+                [this, dst, inc] { resume_rank_inc(dst, inc); });
+        } else {
+            resume_rank(dst);
         }
+        return;
     }
     rs.mailbox.push_back(std::move(p));
 }

@@ -39,6 +39,16 @@
 
 namespace dynmpi::msg {
 
+/// Whether packet `p` satisfies a receive posted for source `src` (or
+/// kAnySource) and wire tag `tag`; `any_tag` accepts every tag in `tag`'s
+/// space.
+inline bool packet_matches(const sim::Packet& p, int src, std::uint64_t tag,
+                           bool any_tag) {
+    bool src_ok = src == kAnySource || src == p.src;
+    bool tag_ok = any_tag ? tag_space(p.tag) == tag_space(tag) : p.tag == tag;
+    return src_ok && tag_ok;
+}
+
 class Rank;
 
 /// Thrown inside rank code when the machine tears a blocked rank down
@@ -142,7 +152,6 @@ private:
         // Pending blocking receive, if any.
         bool recv_waiting = false;
         int recv_src = kAnySource;
-        std::int64_t recv_space = -1; ///< required TagSpace, or -1 for any
         std::uint64_t recv_tag = 0;
         bool recv_any_tag = false;
         sim::Packet recv_result;

@@ -107,15 +107,6 @@ void Rank::send(int dst, int tag, const void* data, std::size_t bytes) {
     send_wire(dst, wire_tag(tag), data, bytes);
 }
 
-namespace {
-bool packet_matches(const sim::Packet& p, int src, std::uint64_t tag,
-                    bool any_tag) {
-    bool src_ok = src == kAnySource || src == p.src;
-    bool tag_ok = any_tag ? tag_space(p.tag) == tag_space(tag) : p.tag == tag;
-    return src_ok && tag_ok;
-}
-}  // namespace
-
 sim::Packet Rank::recv_packet(int src, std::uint64_t tag, bool any_tag) {
     DYNMPI_REQUIRE(src == kAnySource || (src >= 0 && src < size()),
                    "recv from invalid rank");
@@ -140,7 +131,6 @@ sim::Packet Rank::recv_packet(int src, std::uint64_t tag, bool any_tag) {
     rs.recv_src = src;
     rs.recv_tag = tag;
     rs.recv_any_tag = any_tag;
-    rs.recv_space = static_cast<std::int64_t>(tag_space(tag));
     machine_.yield_from_rank(id_);
     if (rs.revoked) {
         rs.revoked = false;
@@ -243,11 +233,7 @@ bool Rank::test(Request& req) {
     // A buffered match can be consumed without blocking.
     const auto& rs = machine_.state(id_);
     for (const auto& p : rs.mailbox) {
-        bool src_ok = req.peer_ == kAnySource || req.peer_ == p.src;
-        bool tag_ok = req.any_tag_
-                          ? tag_space(p.tag) == tag_space(req.wire_tag_)
-                          : p.tag == req.wire_tag_;
-        if (src_ok && tag_ok) {
+        if (packet_matches(p, req.peer_, req.wire_tag_, req.any_tag_)) {
             wait(req); // completes immediately from the mailbox
             return true;
         }

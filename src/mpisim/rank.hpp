@@ -166,7 +166,6 @@ public:
         Rank& rank_;
         bool prev_;
     };
-    bool in_control_scope() const { return control_mode_; }
 
     // ---- failure handling ----
 

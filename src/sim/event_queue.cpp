@@ -8,24 +8,20 @@ EventId EventQueue::schedule(SimTime t, std::function<void()> fn, bool weak) {
     DYNMPI_REQUIRE(t >= 0, "event time must be non-negative");
     EventId id = next_id_++;
     heap_.push(Entry{t, id, std::move(fn)});
-    if (!weak) strong_ids_.insert(id);
+    live_.emplace(id, weak);
+    if (!weak) ++strong_;
     return id;
 }
 
 void EventQueue::cancel(EventId id) {
-    if (id != 0 && id < next_id_) {
-        cancelled_.insert(id);
-        strong_ids_.erase(id);
-    }
+    auto it = live_.find(id);
+    if (it == live_.end()) return; // fired, cancelled or never scheduled
+    if (!it->second) --strong_;
+    live_.erase(it);
 }
 
 void EventQueue::drop_cancelled_head() const {
-    while (!heap_.empty()) {
-        auto it = cancelled_.find(heap_.top().id);
-        if (it == cancelled_.end()) return;
-        cancelled_.erase(it);
-        heap_.pop();
-    }
+    while (!heap_.empty() && !live_.contains(heap_.top().id)) heap_.pop();
 }
 
 bool EventQueue::empty() const {
@@ -46,7 +42,9 @@ EventQueue::Fired EventQueue::pop() {
     // moving the callback out is safe.
     Entry& top = const_cast<Entry&>(heap_.top());
     Fired f{top.time, std::move(top.fn)};
-    strong_ids_.erase(top.id);
+    auto it = live_.find(top.id);
+    if (!it->second) --strong_;
+    live_.erase(it);
     heap_.pop();
     return f;
 }

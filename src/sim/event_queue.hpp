@@ -2,13 +2,14 @@
 //
 // Events at equal timestamps fire in schedule order (sequence-number
 // tie-breaking), so a simulation run is a pure function of its inputs.
-// Cancellation is lazy: cancelled ids are skipped when popped.
+// Cancellation is lazy: a cancelled entry stays in the heap, no longer live,
+// and is skipped when it reaches the top.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -31,7 +32,7 @@ public:
     EventId schedule(SimTime t, std::function<void()> fn, bool weak = false);
 
     /// Number of live strong events.
-    std::size_t strong_count() const { return strong_ids_.size(); }
+    std::size_t strong_count() const { return strong_; }
 
     /// Cancel a previously scheduled event.  Cancelling an already-fired or
     /// unknown id is a no-op.
@@ -50,7 +51,8 @@ public:
     };
     Fired pop();
 
-    std::size_t size() const { return heap_.size() - cancelled_.size(); }
+    /// Number of live events.
+    std::size_t size() const { return live_.size(); }
 
 private:
     struct Entry {
@@ -68,9 +70,11 @@ private:
     void drop_cancelled_head() const;
 
     mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    // Membership tests and size() only; ordering comes from the heap.
-    mutable std::unordered_set<EventId> cancelled_; // dynmpi-lint: ok(unordered-lookup)
-    std::unordered_set<EventId> strong_ids_;        // dynmpi-lint: ok(unordered-lookup)
+    // Scheduled ids that have neither fired nor been cancelled, each with its
+    // weak flag.  Membership tests and size() only; ordering comes from the
+    // heap.
+    std::unordered_map<EventId, bool> live_; // dynmpi-lint: ok(unordered-lookup)
+    std::size_t strong_ = 0; ///< live strong events
     EventId next_id_ = 1;
 };
 

@@ -36,16 +36,12 @@ public:
     void remove(int pid);
 
     void set_state(int pid, ProcState s) { entry(pid).state = s; }
-    void add_cpu(int pid, double sec) { entry(pid).cpu_seconds += sec; }
 
     bool exists(int pid) const;
     const ProcessInfo& info(int pid) const;
 
     /// `ps`-style snapshot of all live processes.
     std::vector<ProcessInfo> snapshot() const;
-
-    /// Count of processes in Running or Ready state.
-    int count_runnable() const;
 
     std::size_t size() const;
 

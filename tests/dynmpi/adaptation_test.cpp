@@ -30,7 +30,6 @@ struct Cycle {
 struct ModeRow {
     const char* name;
     int grace_cycles;
-    int post_grace_cycles;
     Mode start; ///< Monitor, or PostGrace entered through enter_post_grace
     std::vector<Cycle> cycles;
     std::vector<Action> actions;
@@ -40,26 +39,35 @@ struct ModeRow {
 const Cycle kChange{true, true};
 const Cycle kQuiet{false, true};
 
+/// A post-grace window of kChange cycles and the actions it must produce.
+std::vector<Cycle> window_cycles() {
+    return std::vector<Cycle>(kPostGraceCycles, kChange);
+}
+std::vector<Action> window_actions() {
+    std::vector<Action> a(kPostGraceCycles - 1, Action::None);
+    a.push_back(Action::DecidePostGrace);
+    return a;
+}
+
 const ModeRow kModeRows[] = {
-    {"MonitorEntersGraceOnLoadChange", 5, 10, Mode::Monitor,
+    {"MonitorEntersGraceOnLoadChange", 5, Mode::Monitor,
      {kQuiet, kChange}, {Action::None, Action::EnterGrace}, Mode::Grace},
-    {"MonitorStaysWhenMayAdaptIsFalse", 5, 10, Mode::Monitor,
+    {"MonitorStaysWhenMayAdaptIsFalse", 5, Mode::Monitor,
      {{true, false}, {true, false}, kQuiet},
      {Action::None, Action::None, Action::None}, Mode::Monitor},
-    {"GraceDecidesAfterExactlyGraceCycles", 3, 10, Mode::Monitor,
+    {"GraceDecidesAfterExactlyGraceCycles", 3, Mode::Monitor,
      {kChange, kQuiet, kQuiet, kQuiet},
      {Action::EnterGrace, Action::None, Action::None, Action::DecideGrace},
      Mode::Monitor},
-    {"GraceIgnoresFurtherLoadChanges", 2, 10, Mode::Monitor,
+    {"GraceIgnoresFurtherLoadChanges", 2, Mode::Monitor,
      {kChange, kChange, kChange},
      {Action::EnterGrace, Action::None, Action::DecideGrace}, Mode::Monitor},
-    {"DecisionReturnsToMonitor", 1, 10, Mode::Monitor,
+    {"DecisionReturnsToMonitor", 1, Mode::Monitor,
      {kChange, kQuiet, kChange},
      {Action::EnterGrace, Action::DecideGrace, Action::EnterGrace},
      Mode::Grace},
-    {"PostGraceDecidesAfterPostGraceCycles", 5, 3, Mode::PostGrace,
-     {kChange, kChange, kChange},
-     {Action::None, Action::None, Action::DecidePostGrace}, Mode::Monitor},
+    {"PostGraceDecidesAfterPostGraceCycles", 5, Mode::PostGrace,
+     window_cycles(), window_actions(), Mode::Monitor},
 };
 
 // Rows keep gtest's index names; ctest (gtest_discover_tests) replaces the
@@ -72,7 +80,6 @@ TEST_P(AdaptationMode, Step) {
     const ModeRow& row = GetParam();
     RuntimeOptions opts;
     opts.grace_cycles = row.grace_cycles;
-    opts.post_grace_cycles = row.post_grace_cycles;
     ModeState s;
     if (row.start == Mode::PostGrace) s.enter_post_grace();
     ASSERT_EQ(row.cycles.size(), row.actions.size());
@@ -91,9 +98,10 @@ INSTANTIATE_TEST_SUITE_P(ModeTable, AdaptationMode,
 TEST(AdaptationModeValue, PostMeanIsTheLeftFoldOfTheWindow) {
     // The running sum must reproduce std::accumulate over the window's
     // slowest-node wall times bit for bit.
-    const std::vector<double> walls{0.1, 0.2, 0.7, 1e-9, 3.3, 0.30000000001};
+    const std::vector<double> walls{
+        0.1, 0.2, 0.7, 1e-9, 3.3, 0.30000000001, 2.5, 1e-3, 0.07, 9.9};
+    ASSERT_EQ(walls.size(), static_cast<std::size_t>(kPostGraceCycles));
     RuntimeOptions opts;
-    opts.post_grace_cycles = static_cast<int>(walls.size());
     ModeState s;
     s.enter_post_grace();
     for (double w : walls) s.step(false, w, opts);
@@ -175,7 +183,7 @@ const GraceRow kGraceRows[] = {
      [](const std::vector<int>& c) {
          return c == std::vector<int>{100, 100, 100, 100};
      }},
-    // Threshold = min_count_change x average block = 0.1 x 100 = 10 rows:
+    // Threshold = kMinCountChange x average block = 0.1 x 100 = 10 rows:
     // blocks 8 rows off the balanced split are left alone ...
     {"SmallShiftOfLargeBlocksIsSkipped",
      [](RuntimeOptions&, DecisionInputs& in) {
@@ -241,7 +249,7 @@ const GraceRow kGraceRows[] = {
      },
      false, {0, 1, 2, 3},
      [](const std::vector<int>& c) { return c[0] == 100; }},
-    // Two "loaded" thresholds: load_change_eps (0.5) admits a node at 0.3
+    // Two "loaded" thresholds: kLoadChangeEps (0.5) admits a node at 0.3
     // as an unloaded candidate, while NodePower::loaded() (0.25) makes
     // successive balancing treat it as loaded and give it fewer rows.
     {"LoadBetweenThresholdsRejoinsAsLoaded",
@@ -308,14 +316,13 @@ const PostRow kPostRows[] = {
      [](RuntimeOptions& o) { o.force_drop_loaded = true; }, true, true,
      {0, 1, 3}, covers_rows},
     {"LogicalDropKeepsMinimumRows", {0, 0, 2, 0}, 10.0,
-     [](RuntimeOptions& o) {
-         o.drop_mode = DropMode::Logical;
-         o.logical_min_rows = 7;
-     },
-     true, true, {0, 1, 2, 3},
-     [](const std::vector<int>& c) { return c[2] == 7 && covers_rows(c); }},
+     [](RuntimeOptions& o) { o.drop_mode = DropMode::Logical; }, true, true,
+     {0, 1, 2, 3},
+     [](const std::vector<int>& c) {
+         return c[2] == kLogicalMinRows && covers_rows(c);
+     }},
     // The two "loaded" thresholds again: a node at 0.3 alone does not make
-    // the set loaded (load_change_eps) ...
+    // the set loaded (kLoadChangeEps) ...
     {"LoadBetweenThresholdsAloneIsNotEvaluated", {0, 0, 0, 0.3}, 10.0,
      nullptr, false, false, {}, nullptr},
     // ... but once another node is, the predictor (NodePower::loaded())
@@ -357,10 +364,10 @@ TEST(AdaptationPostGraceValue, SingleNodeIsNotEvaluated) {
 }
 
 TEST(AdaptationPostGraceValue, ThresholdsDiffer) {
-    // Pinned until unified on purpose: NodePower::loaded() uses 0.25 while
-    // RuntimeOptions::load_change_eps defaults to 0.5.
+    // Pinned until unified on purpose: NodePower::loaded() uses
+    // kLoadedAbove (0.25) while the adaptation trigger kLoadChangeEps is 0.5.
     EXPECT_TRUE((NodePower{1.0, 0.3}.loaded()));
-    EXPECT_LE(0.3, RuntimeOptions{}.load_change_eps);
+    EXPECT_LE(0.3, kLoadChangeEps);
 }
 
 }  // namespace

@@ -432,11 +432,8 @@ TEST(FaultRecovery, ReaddCountedWhenTheSameDecisionDropsANode) {
     fp.cycles = 140;
     fp.row_cost = 8e-3;
     fp.script =
-        "drop-reports node=1 t=1 dur=4\n"
-        "drop-reports node=2 t=5.4 dur=4\n";
-    fp.opts.report_staleness_s = 0.6;
-    fp.opts.quarantine_bad_reports = 2;
-    fp.opts.readmit_clean_cycles = 8;
+        "drop-reports node=1 t=1 dur=8\n"
+        "drop-reports node=2 t=6.7 dur=8\n";
     fp.opts.grace_cycles = 3;
     ReaddObservation o = observe_readds(fp);
     EXPECT_TRUE(o.out.data_ok);
@@ -457,8 +454,6 @@ TEST(FaultRecovery, StaleReportsFallBack) {
     fp.cycles = 80;
     fp.row_cost = 8e-3;
     fp.script = "drop-reports node=1 t=1\n";
-    fp.opts.report_staleness_s = 0.6;
-    fp.opts.quarantine_bad_reports = 1000; // isolate staleness from quarantine
     FaultOutcome out = run_with_faults(fp);
     EXPECT_TRUE(out.data_ok);
     EXPECT_GT(out.stale_fallbacks, 0);
@@ -473,10 +468,7 @@ TEST(FaultRecovery, QuarantineAndReadmit) {
     fp.rows = 48;
     fp.cycles = 140;
     fp.row_cost = 8e-3;
-    fp.script = "drop-reports node=1 t=1 dur=4\n";
-    fp.opts.report_staleness_s = 0.6;
-    fp.opts.quarantine_bad_reports = 2;
-    fp.opts.readmit_clean_cycles = 8;
+    fp.script = "drop-reports node=1 t=1 dur=8\n";
     fp.opts.grace_cycles = 3;
     FaultOutcome out = run_with_faults(fp);
     EXPECT_TRUE(out.data_ok);

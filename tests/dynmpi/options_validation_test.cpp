@@ -98,33 +98,6 @@ TEST(OptionsValidation, DoubleBeginCycleRejected) {
     });
 }
 
-TEST(OptionsValidation, ReplicaRefreshShorterThanMonitoringRejected) {
-    // The monitoring period is the fastest the refresh can physically run;
-    // asking for a shorter interval is a configuration error, not a silent
-    // clamp.
-    expect_rank_error(2, [](msg::Rank& r) {
-        RuntimeOptions o;
-        o.replicate = true;
-        o.replica_refresh_s = 1e-6;
-        Runtime rt(r, 8, o);
-    });
-}
-
-TEST(OptionsValidation, ReplicaRefreshEveryCycleAccepted) {
-    msg::Machine m(cfg(2));
-    m.run([](msg::Rank& r) {
-        RuntimeOptions o;
-        o.calibrate = false;
-        o.replicate = true;
-        o.replica_refresh_s = 0.0; // refresh every cycle
-        Runtime rt(r, 8, o);
-        rt.register_dense("A", 1, sizeof(double));
-        int ph = rt.init_phase(0, 8, PhaseComm{CommPattern::None, 0});
-        rt.add_array_access("A", AccessMode::Write, ph);
-        rt.commit_setup();
-    });
-}
-
 TEST(OptionsValidation, DenseLookupOfSparseRejected) {
     expect_rank_error(1, [](msg::Rank& r) {
         Runtime rt(r, 8);

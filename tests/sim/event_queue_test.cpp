@@ -81,5 +81,30 @@ TEST(EventQueue, SizeExcludesCancelled) {
     EXPECT_EQ(q.size(), 1u);
 }
 
+TEST(EventQueue, CancelFiredIdIsNoop) {
+    EventQueue q;
+    auto fired = q.schedule(1, [] {});
+    q.pop();
+    q.cancel(fired);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_TRUE(q.empty());
+    q.schedule(2, [] {});
+    q.schedule(3, [] {});
+    q.cancel(fired);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.strong_count(), 2u);
+}
+
+TEST(EventQueue, CancelTwiceIsNoop) {
+    EventQueue q;
+    auto a = q.schedule(1, [] {});
+    q.schedule(2, [] {}, /*weak=*/true);
+    q.cancel(a);
+    q.cancel(a);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.strong_count(), 0u);
+    EXPECT_EQ(q.next_time(), 2);
+}
+
 }  // namespace
 }  // namespace dynmpi::sim

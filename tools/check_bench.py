@@ -5,7 +5,10 @@ Reads two google-benchmark JSON files (current run, committed baseline) and
 compares the plan-once speedup — the ratio of BM_RedistSchedule_Legacy to
 BM_RedistSchedule_PlanOnce cpu_time at the same party count.  Ratios are
 machine-portable where absolute times are not, so the committed baseline
-stays valid across hosts.
+stays valid across hosts.  A file with repetitions
+(--benchmark_repetitions) contributes the median cpu_time of each
+benchmark, so one noisy repetition cannot fail the gate; a single-run file,
+such as the committed baseline, contributes its one time.
 
 Fails when:
   * either benchmark is missing from the current run,
@@ -21,6 +24,7 @@ Usage:
 
 import argparse
 import json
+import statistics
 import sys
 
 LEGACY = "BM_RedistSchedule_Legacy"
@@ -28,16 +32,16 @@ PLAN = "BM_RedistSchedule_PlanOnce"
 
 
 def load_times(path):
-    """Map benchmark name -> cpu_time (ns) from a google-benchmark JSON."""
+    """Map benchmark name -> median cpu_time (ns) over its repetitions."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    times = {}
+    reps = {}
     for b in doc.get("benchmarks", []):
         # Skip aggregate rows (mean/median/stddev) if repetitions were used.
         if b.get("run_type", "iteration") != "iteration":
             continue
-        times[b["name"]] = float(b["cpu_time"])
-    return times
+        reps.setdefault(b["name"], []).append(float(b["cpu_time"]))
+    return {name: statistics.median(ts) for name, ts in reps.items()}
 
 
 def speedup(times, arg, path):
