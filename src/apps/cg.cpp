@@ -79,67 +79,58 @@ std::vector<double> reference_cg_residuals(const CgConfig& cfg) {
     return history;
 }
 
-CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
-    const int n = config.n;
-    Runtime rt(rank, n, config.runtime);
+namespace {
 
-    SparseMatrix& A = rt.register_sparse("A", n);
-    DenseArray& X = rt.register_dense("x", 1, sizeof(double));
-    DenseArray& R = rt.register_dense("r", 1, sizeof(double));
-    DenseArray& P = rt.register_dense("p", 1, sizeof(double));
-    DenseArray& Q = rt.register_dense("q", 1, sizeof(double));
+/// The CG set-up and iteration shared by run_cg and run_cg_recoverable,
+/// which differ only in how they sum over the active set and in crash
+/// handling.
+struct CgBody {
+    CgBody(msg::Rank& rank, const CgConfig& config)
+        : cfg(config),
+          rt(rank, config.n, config.runtime),
+          A(rt.register_sparse("A", config.n)),
+          X(rt.register_dense("x", 1, sizeof(double))),
+          R(rt.register_dense("r", 1, sizeof(double))),
+          P(rt.register_dense("p", 1, sizeof(double))),
+          Q(rt.register_dense("q", 1, sizeof(double))),
+          ph(rt.init_phase(
+              0, config.n,
+              PhaseComm{CommPattern::AllGather,
+                        static_cast<std::size_t>(config.n) * sizeof(double)})) {
+        for (const char* name : {"A", "x", "r", "p", "q"})
+            rt.add_array_access(name, AccessMode::Write, ph, 1, 0);
+        rt.commit_setup();
 
-    int ph = rt.init_phase(
-        0, n,
-        PhaseComm{CommPattern::AllGather,
-                  static_cast<std::size_t>(n) * sizeof(double)});
-    for (const char* name : {"A", "x", "r", "p", "q"})
-        rt.add_array_access(name, AccessMode::Write, ph, 1, 0);
-    rt.commit_setup();
-
-    // Build this node's matrix rows and vector entries.
-    auto init_rows = [&](const RowSet& rows) {
-        for (int i : rows.to_vector()) {
-            for (auto [c, v] : row_entries(config, i)) A.set(i, c, v);
+        // Build this node's matrix rows and vector entries.
+        for (int i : rt.my_iters(ph).to_vector()) {
+            for (auto [c, v] : row_entries(cfg, i)) A.set(i, c, v);
             X.at<double>(i, 0) = 0.0;
             R.at<double>(i, 0) = rhs_value(i);
             P.at<double>(i, 0) = rhs_value(i);
             Q.at<double>(i, 0) = 0.0;
         }
-    };
-    init_rows(rt.my_iters(ph));
+    }
 
-    auto local_dot = [&](DenseArray& a, DenseArray& b) {
+    /// This node's share of a . b; 0 on a removed node, which owns no rows.
+    double local_dot(DenseArray& a, DenseArray& b) {
         double s = 0.0;
         for (int i : rt.my_iters(ph).to_vector())
             s += a.at<double>(i, 0) * b.at<double>(i, 0);
         return s;
-    };
+    }
 
-    double rr = rt.allreduce_active(
-        rt.participating() ? local_dot(R, R) : 0.0, msg::OpSum{});
-
-    CgResult out;
-    for (int cycle = 0; cycle < config.cycles; ++cycle) {
-        fire_hook(config.on_cycle, rank, cycle);
-        rt.begin_cycle();
+    /// One CG iteration between begin_cycle and end_cycle; `sum` is the
+    /// caller's global sum.  Returns the new ||r||^2.
+    template <typename Sum>
+    double iterate(double rr, const Sum& sum) {
+        const std::vector<int> my_rows = rt.my_iters(ph).to_vector();
         if (rt.participating()) {
             // Gather the full search direction p (AllGather pattern).
             std::vector<double> mine;
-            std::vector<int> my_rows = rt.my_iters(ph).to_vector();
             mine.reserve(my_rows.size());
             for (int i : my_rows) mine.push_back(P.at<double>(i, 0));
-            auto gathered =
-                msg::allgather(rank, rt.active_group(), mine);
-            std::vector<double> full_p(static_cast<std::size_t>(n), 0.0);
-            for (int rel = 0; rel < rt.num_active(); ++rel) {
-                auto rows = rt.distribution().iters_of(rel).to_vector();
-                const auto& vals = gathered[static_cast<std::size_t>(rel)];
-                DYNMPI_CHECK(vals.size() == rows.size(),
-                             "gathered p misaligned");
-                for (std::size_t k = 0; k < rows.size(); ++k)
-                    full_p[static_cast<std::size_t>(rows[k])] = vals[k];
-            }
+            const std::vector<double> full_p =
+                rt.allgather_owned(rt.active_group(), mine);
 
             // q = A * p over my rows; virtual cost tracks stored entries.
             std::vector<double> costs;
@@ -149,29 +140,46 @@ CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
                 for (const auto& e : A.row(i))
                     s += e.value * full_p[static_cast<std::size_t>(e.col)];
                 Q.at<double>(i, 0) = s;
-                costs.push_back(config.sec_per_nnz * A.row_nnz(i));
+                costs.push_back(cfg.sec_per_nnz * A.row_nnz(i));
             }
             rt.run_phase(ph, costs);
         }
 
-        double pq = rt.allreduce_active(
-            rt.participating() ? local_dot(P, Q) : 0.0, msg::OpSum{});
-        double alpha = rr / pq;
-        if (rt.participating()) {
-            for (int i : rt.my_iters(ph).to_vector()) {
-                X.at<double>(i, 0) += alpha * P.at<double>(i, 0);
-                R.at<double>(i, 0) -= alpha * Q.at<double>(i, 0);
-            }
+        const double alpha = rr / sum(local_dot(P, Q));
+        for (int i : my_rows) {
+            X.at<double>(i, 0) += alpha * P.at<double>(i, 0);
+            R.at<double>(i, 0) -= alpha * Q.at<double>(i, 0);
         }
-        double rr_new = rt.allreduce_active(
-            rt.participating() ? local_dot(R, R) : 0.0, msg::OpSum{});
-        double beta = rr_new / rr;
-        rr = rr_new;
-        if (rt.participating()) {
-            for (int i : rt.my_iters(ph).to_vector())
-                P.at<double>(i, 0) =
-                    R.at<double>(i, 0) + beta * P.at<double>(i, 0);
-        }
+        const double rr_new = sum(local_dot(R, R));
+        const double beta = rr_new / rr;
+        for (int i : my_rows)
+            P.at<double>(i, 0) = R.at<double>(i, 0) + beta * P.at<double>(i, 0);
+        return rr_new;
+    }
+
+    const CgConfig& cfg;
+    Runtime rt;
+    SparseMatrix& A;
+    DenseArray& X;
+    DenseArray& R;
+    DenseArray& P;
+    DenseArray& Q;
+    int ph;
+};
+
+}  // namespace
+
+CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
+    CgBody cg(rank, config);
+    Runtime& rt = cg.rt;
+    auto sum = [&](double v) { return rt.allreduce_active(v, msg::OpSum{}); };
+
+    double rr = sum(cg.local_dot(cg.R, cg.R));
+    CgResult out;
+    for (int cycle = 0; cycle < config.cycles; ++cycle) {
+        fire_hook(config.on_cycle, rank, cycle);
+        rt.begin_cycle();
+        rr = cg.iterate(rr, sum);
         out.residual_history.push_back(rr);
         rt.end_cycle();
     }
@@ -183,44 +191,15 @@ CgResult run_cg(msg::Rank& rank, const CgConfig& config) {
 }
 
 CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
-    const int n = config.n;
     DYNMPI_REQUIRE(config.runtime.replicate,
                    "run_cg_recoverable requires RuntimeOptions.replicate");
-    Runtime rt(rank, n, config.runtime);
-
-    SparseMatrix& A = rt.register_sparse("A", n);
-    DenseArray& X = rt.register_dense("x", 1, sizeof(double));
-    DenseArray& R = rt.register_dense("r", 1, sizeof(double));
-    DenseArray& P = rt.register_dense("p", 1, sizeof(double));
-    DenseArray& Q = rt.register_dense("q", 1, sizeof(double));
-
-    int ph = rt.init_phase(
-        0, n,
-        PhaseComm{CommPattern::AllGather,
-                  static_cast<std::size_t>(n) * sizeof(double)});
-    for (const char* name : {"A", "x", "r", "p", "q"})
-        rt.add_array_access(name, AccessMode::Write, ph, 1, 0);
-    rt.commit_setup();
-
-    for (int i : rt.my_iters(ph).to_vector()) {
-        for (auto [c, v] : row_entries(config, i)) A.set(i, c, v);
-        X.at<double>(i, 0) = 0.0;
-        R.at<double>(i, 0) = rhs_value(i);
-        P.at<double>(i, 0) = rhs_value(i);
-        Q.at<double>(i, 0) = 0.0;
-    }
-
-    auto local_dot = [&](DenseArray& a, DenseArray& b) {
-        double s = 0.0;
-        for (int i : rt.my_iters(ph).to_vector())
-            s += a.at<double>(i, 0) * b.at<double>(i, 0);
-        return s;
-    };
+    CgBody cg(rank, config);
+    Runtime& rt = cg.rt;
     auto sum_active = [&](double v) {
         return msg::allreduce_scalar(rank, rt.active_group(), v, msg::OpSum{});
     };
 
-    double rr = sum_active(local_dot(R, R));
+    double rr = sum_active(cg.local_dot(cg.R, cg.R));
 
     CgRecoverResult out;
     int repairs_seen = rt.stats().crash_repairs;
@@ -231,56 +210,19 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
             // the restored + rolled-back rows are again at cycle start, so
             // re-snapshotting each attempt also covers freshly adopted rows
             // before a possible second crash.
-            std::vector<int> snap_rows = rt.my_iters(ph).to_vector();
+            std::vector<int> snap_rows = rt.my_iters(cg.ph).to_vector();
             std::vector<double> snap_x, snap_r, snap_p, snap_q;
             for (int i : snap_rows) {
-                snap_x.push_back(X.at<double>(i, 0));
-                snap_r.push_back(R.at<double>(i, 0));
-                snap_p.push_back(P.at<double>(i, 0));
-                snap_q.push_back(Q.at<double>(i, 0));
+                snap_x.push_back(cg.X.at<double>(i, 0));
+                snap_r.push_back(cg.R.at<double>(i, 0));
+                snap_p.push_back(cg.P.at<double>(i, 0));
+                snap_q.push_back(cg.Q.at<double>(i, 0));
             }
             const double rr_snap = rr;
 
             try {
                 rt.begin_cycle();
-                std::vector<double> mine;
-                std::vector<int> my_rows = rt.my_iters(ph).to_vector();
-                mine.reserve(my_rows.size());
-                for (int i : my_rows) mine.push_back(P.at<double>(i, 0));
-                auto gathered = msg::allgather(rank, rt.active_group(), mine);
-                std::vector<double> full_p(static_cast<std::size_t>(n), 0.0);
-                for (int rel = 0; rel < rt.num_active(); ++rel) {
-                    auto rows = rt.distribution().iters_of(rel).to_vector();
-                    const auto& vals = gathered[static_cast<std::size_t>(rel)];
-                    DYNMPI_CHECK(vals.size() == rows.size(),
-                                 "gathered p misaligned");
-                    for (std::size_t k = 0; k < rows.size(); ++k)
-                        full_p[static_cast<std::size_t>(rows[k])] = vals[k];
-                }
-
-                std::vector<double> costs;
-                costs.reserve(my_rows.size());
-                for (int i : my_rows) {
-                    double s = 0.0;
-                    for (const auto& e : A.row(i))
-                        s += e.value * full_p[static_cast<std::size_t>(e.col)];
-                    Q.at<double>(i, 0) = s;
-                    costs.push_back(config.sec_per_nnz * A.row_nnz(i));
-                }
-                rt.run_phase(ph, costs);
-
-                double pq = sum_active(local_dot(P, Q));
-                double alpha = rr / pq;
-                for (int i : my_rows) {
-                    X.at<double>(i, 0) += alpha * P.at<double>(i, 0);
-                    R.at<double>(i, 0) -= alpha * Q.at<double>(i, 0);
-                }
-                double rr_new = sum_active(local_dot(R, R));
-                double beta = rr_new / rr;
-                rr = rr_new;
-                for (int i : my_rows)
-                    P.at<double>(i, 0) =
-                        R.at<double>(i, 0) + beta * P.at<double>(i, 0);
+                rr = cg.iterate(rr, sum_active);
                 rt.end_cycle();
             } catch (const msg::PeerFailure&) {
                 // A peer died mid-cycle.  Wake every rank stranded in the
@@ -302,10 +244,10 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
             ++out.redo_cycles;
             for (std::size_t k = 0; k < snap_rows.size(); ++k) {
                 int i = snap_rows[k];
-                X.at<double>(i, 0) = snap_x[k];
-                R.at<double>(i, 0) = snap_r[k];
-                P.at<double>(i, 0) = snap_p[k];
-                Q.at<double>(i, 0) = snap_q[k];
+                cg.X.at<double>(i, 0) = snap_x[k];
+                cg.R.at<double>(i, 0) = snap_r[k];
+                cg.P.at<double>(i, 0) = snap_p[k];
+                cg.Q.at<double>(i, 0) = snap_q[k];
             }
             rr = rr_snap;
         }
@@ -315,10 +257,10 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
     // Bitwise row compare: restored matrix rows must match the generator
     // exactly, not approximately.  Stored rows are col-sorted; the generator
     // emits bands outward from the diagonal, so sort before comparing.
-    for (int i : rt.my_iters(ph).to_vector()) {
+    for (int i : rt.my_iters(cg.ph).to_vector()) {
         auto expect = row_entries(config, i);
         std::sort(expect.begin(), expect.end());
-        const auto& got = A.row(i);
+        const auto& got = cg.A.row(i);
         if (got.size() != expect.size()) {
             out.matrix_intact = false;
             continue;

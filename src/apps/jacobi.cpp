@@ -51,24 +51,17 @@ JacobiResult run_jacobi(msg::Rank& rank, const JacobiConfig& config) {
         if (rt.participating()) {
             DenseArray& read = *grid[cycle % 2];
             DenseArray& write = *grid[(cycle + 1) % 2];
-            const int rel = rt.rel_rank();
-            const int nact = rt.num_active();
             const int lo = rt.start_iter(ph);
             const int hi = rt.end_iter(ph); // inclusive
 
             // Halo exchange on the read array (paper Figure 1 pattern).
-            std::vector<std::byte> ghost(row_bytes);
-            if (rel > 0) rt.send_rel(rel - 1, 10, read.row_data(lo), row_bytes);
-            if (rel < nact - 1)
-                rt.send_rel(rel + 1, 11, read.row_data(hi), row_bytes);
-            if (rel < nact - 1) {
-                rt.recv_rel(rel + 1, 10, ghost.data(), row_bytes);
-                std::memcpy(read.row_data(hi + 1), ghost.data(), row_bytes);
-            }
-            if (rel > 0) {
-                rt.recv_rel(rel - 1, 11, ghost.data(), row_bytes);
-                std::memcpy(read.row_data(lo - 1), ghost.data(), row_bytes);
-            }
+            rt.exchange_neighbors(
+                10, 11, row_bytes,
+                [&](int side) { return read.row_data(side < 0 ? lo : hi); },
+                [&](int side, const void* ghost) {
+                    std::memcpy(read.row_data(side < 0 ? lo - 1 : hi + 1),
+                                ghost, row_bytes);
+                });
 
             // Real stencil on the math stripe.  Row pointers are fetched
             // once per row, through the same (dirty-marking) accessor on the

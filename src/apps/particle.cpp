@@ -32,8 +32,6 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
         fire_hook(config.on_cycle, rank, cycle);
         rt.begin_cycle();
         if (rt.participating()) {
-            const int rel = rt.rel_rank();
-            const int nact = rt.num_active();
             const int lo = rt.start_iter(ph);
             const int hi = rt.end_iter(ph);
 
@@ -82,21 +80,17 @@ ParticleResult run_particle(msg::Rank& rank, const ParticleConfig& config) {
                 }
             }
             // Ship boundary flows to the relative-rank neighbors.
-            if (rel > 0)
-                rt.send_rel(rel - 1, 30, up_out.data(), row_bytes);
-            if (rel < nact - 1)
-                rt.send_rel(rel + 1, 31, down_out.data(), row_bytes);
-            std::vector<double> inflow(static_cast<std::size_t>(w));
-            if (rel < nact - 1) {
-                rt.recv_rel(rel + 1, 30, inflow.data(), row_bytes);
-                for (int c = 0; c < w; ++c)
-                    delta.back()[(size_t)c] += inflow[(size_t)c];
-            }
-            if (rel > 0) {
-                rt.recv_rel(rel - 1, 31, inflow.data(), row_bytes);
-                for (int c = 0; c < w; ++c)
-                    delta.front()[(size_t)c] += inflow[(size_t)c];
-            }
+            rt.exchange_neighbors(
+                30, 31, row_bytes,
+                [&](int side) {
+                    return side < 0 ? up_out.data() : down_out.data();
+                },
+                [&](int side, const void* data) {
+                    const auto* inflow = static_cast<const double*>(data);
+                    auto& edge = side < 0 ? delta.front() : delta.back();
+                    for (int c = 0; c < w; ++c)
+                        edge[(size_t)c] += inflow[c];
+                });
             for (std::size_t k = 0; k < my_rows.size(); ++k) {
                 double* row = P.row<double>(my_rows[k]);
                 for (int c = 0; c < w; ++c) row[c] += delta[k][(size_t)c];

@@ -745,6 +745,41 @@ std::size_t Runtime::recv_rel(int rel_src, int tag, void* data,
     return rank_.recv(active_.member(rel_src), tag, data, capacity);
 }
 
+void Runtime::exchange_neighbors(
+    int tag_prev, int tag_next, std::size_t bytes,
+    const std::function<const void*(int side)>& out,
+    const std::function<void(int side, const void* data)>& in) {
+    const int rel = rel_rank();
+    const bool has_prev = rel > 0;
+    const bool has_next = rel < num_active() - 1;
+    if (has_prev) send_rel(rel - 1, tag_prev, out(-1), bytes);
+    if (has_next) send_rel(rel + 1, tag_next, out(+1), bytes);
+    std::vector<std::byte> ghost(bytes);
+    if (has_next) {
+        recv_rel(rel + 1, tag_prev, ghost.data(), bytes);
+        in(+1, ghost.data());
+    }
+    if (has_prev) {
+        recv_rel(rel - 1, tag_next, ghost.data(), bytes);
+        in(-1, ghost.data());
+    }
+}
+
+std::vector<double> Runtime::allgather_owned(const msg::Group& group,
+                                             const std::vector<double>& mine) {
+    const auto per_rank = msg::allgather(rank_, group, mine);
+    std::vector<double> global(static_cast<std::size_t>(global_rows_), 0.0);
+    for (int a = 0; a < active_.size(); ++a) {
+        const std::vector<int> rows = dist_.iters_of(a).to_vector();
+        const auto& values = per_rank[static_cast<std::size_t>(a)];
+        DYNMPI_CHECK(values.size() == rows.size(),
+                     "gathered values do not match ownership");
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            global[static_cast<std::size_t>(rows[i])] = values[i];
+    }
+    return global;
+}
+
 namespace {
 template <typename Op>
 double allreduce_sendout(msg::Rank& rank, const msg::Group& world,
@@ -1002,16 +1037,7 @@ const std::vector<double>& Runtime::gather_row_costs(const msg::Group& pg) {
     // Active-group exchange: every active rank assembles the identical
     // global cost vector (removed nodes own no rows and are synced through
     // the status channel).
-    auto per_rank_costs = msg::allgather(rank_, pg, mine);
-    row_costs_.assign(static_cast<std::size_t>(global_rows_), 0.0);
-    for (int a = 0; a < active_.size(); ++a) {
-        const std::vector<int> vec = dist_.iters_of(a).to_vector();
-        const auto& costs = per_rank_costs[static_cast<std::size_t>(a)];
-        DYNMPI_CHECK(costs.size() == vec.size(),
-                     "cost vector does not match ownership");
-        for (std::size_t i = 0; i < vec.size(); ++i)
-            row_costs_[static_cast<std::size_t>(vec[i])] = costs[i];
-    }
+    row_costs_ = allgather_owned(pg, mine);
     return row_costs_;
 }
 

@@ -10,7 +10,7 @@
 //     rt.begin_cycle();
 //     if (rt.participating())
 //        ... compute on rt.start_iter()/end_iter(), exchange halos with
-//        rt.send_rel / rt.recv_rel, charge work via rt.run_phase(...) ...
+//        rt.exchange_neighbors, charge work via rt.run_phase(...) ...
 //     rt.end_cycle();                            — monitor, adapt (§4.2–4.4)
 //
 // end_cycle() drives the §4.2–4.4 state machine of dynmpi/adaptation.hpp,
@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -186,6 +187,20 @@ public:
     void send_rel(int rel_dst, int tag, const void* data, std::size_t bytes);
     std::size_t recv_rel(int rel_src, int tag, void* data,
                          std::size_t capacity);
+
+    /// Halo exchange with the relative-rank neighbours (paper Figure 1):
+    /// send `out(-1)` to rel-1 under `tag_prev` and `out(+1)` to rel+1 under
+    /// `tag_next`, then pass rel+1's and rel-1's messages to `in(side,
+    /// data)`.  No callback runs for a missing neighbour's side.
+    void exchange_neighbors(
+        int tag_prev, int tag_next, std::size_t bytes,
+        const std::function<const void*(int side)>& out,
+        const std::function<void(int side, const void* data)>& in);
+
+    /// Allgather over `group` (the active set, possibly epoch-salted) of one
+    /// value per owned row, ascending; returns them in global row order.
+    std::vector<double> allgather_owned(const msg::Group& group,
+                                        const std::vector<double>& mine);
 
     /// Global reduction with removed-node semantics (§4.4): active nodes
     /// compute the reduction; removed nodes skip the send-in but receive the

@@ -172,19 +172,18 @@ std::size_t Rank::recv(int src, int tag, void* data, std::size_t capacity,
     return p.payload.size();
 }
 
-void Rank::sendrecv(int dst, int send_tag, const void* send_data,
-                    std::size_t send_bytes, int src, int recv_tag,
-                    void* recv_data, std::size_t recv_capacity) {
-    send(dst, send_tag, send_data, send_bytes);
-    recv(src, recv_tag, recv_data, recv_capacity);
-}
-
-bool Rank::probe(int src, int tag) const {
+bool Rank::probe(int src, int tag, int* out_src, int* out_tag,
+                 std::size_t* out_bytes) const {
     const auto& rs = machine_.state(id_);
     bool any_tag = tag == kAnyTag;
     std::uint64_t wt = any_tag ? make_tag(TagSpace::User, 0) : wire_tag(tag);
-    for (const auto& p : rs.mailbox)
-        if (packet_matches(p, src, wt, any_tag)) return true;
+    for (const auto& p : rs.mailbox) {
+        if (!packet_matches(p, src, wt, any_tag)) continue;
+        if (out_src) *out_src = p.src;
+        if (out_tag) *out_tag = static_cast<int>(tag_value(p.tag));
+        if (out_bytes) *out_bytes = p.payload.size();
+        return true;
+    }
     return false;
 }
 
@@ -223,6 +222,7 @@ std::size_t Rank::wait(Request& req) {
         std::memcpy(req.buffer_, p.payload.data(), p.payload.size());
     req.received_ = p.payload.size();
     req.actual_src_ = p.src;
+    req.actual_tag_ = static_cast<int>(tag_value(p.tag));
     req.complete_ = true;
     return req.received_;
 }
@@ -239,10 +239,6 @@ bool Rank::test(Request& req) {
         }
     }
     return false;
-}
-
-void Rank::waitall(std::vector<Request>& reqs) {
-    for (auto& r : reqs) wait(r);
 }
 
 sim::Packet Rank::recv_wire_packet(int src, std::uint64_t wire_tag) {

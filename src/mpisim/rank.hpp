@@ -102,11 +102,6 @@ public:
         return v;
     }
 
-    /// Exchange with two peers in one call (halo exchange helper).
-    void sendrecv(int dst, int send_tag, const void* send_data,
-                  std::size_t send_bytes, int src, int recv_tag,
-                  void* recv_data, std::size_t recv_capacity);
-
     // ---- nonblocking operations (see request.hpp) ----
 
     /// Nonblocking send: the local CPU cost is charged now; the returned
@@ -123,11 +118,12 @@ public:
     /// Complete the request if possible without blocking.
     bool test(Request& req);
 
-    /// Wait for every request in the span.
-    void waitall(std::vector<Request>& reqs);
-
     /// True if a matching message is already buffered (non-blocking probe).
-    bool probe(int src, int tag) const;
+    /// The outputs then describe the message the next matching recv takes:
+    /// its source, its tag and its payload bytes.
+    bool probe(int src, int tag, int* out_src = nullptr,
+               int* out_tag = nullptr,
+               std::size_t* out_bytes = nullptr) const;
 
     // ---- internal-tagged traffic (collectives / Dyn-MPI runtime) ----
 

@@ -21,8 +21,9 @@ public:
     bool valid() const { return kind_ != Kind::Null; }
     bool completed() const { return complete_; }
 
-    /// Actual source rank (valid for completed receives).
+    /// Actual source rank and tag (valid for completed receives).
     int source() const { return actual_src_; }
+    int tag() const { return actual_tag_; }
 
 private:
     friend class Rank;
@@ -38,6 +39,7 @@ private:
     bool complete_ = false;
     std::size_t received_ = 0;
     int actual_src_ = -1;
+    int actual_tag_ = -1;
 };
 
 }  // namespace dynmpi::msg

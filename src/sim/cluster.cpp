@@ -88,10 +88,6 @@ void Cluster::add_parallel_app(const std::vector<int>& nodes, double t_start,
                           BurstSpec{period_s, duty});
 }
 
-void Cluster::at(double t, std::function<void()> fn) {
-    engine_.at(from_seconds(t), std::move(fn), /*weak=*/true);
-}
-
 void Cluster::crash_node(int node_id) {
     Node& n = node(node_id);
     if (n.crashed()) return;

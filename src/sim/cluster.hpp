@@ -71,9 +71,6 @@ public:
     void add_parallel_app(const std::vector<int>& nodes, double t_start,
                           double t_end, double period_s, double duty);
 
-    /// Run an arbitrary callback at a virtual time (bench scripting).
-    void at(double t, std::function<void()> fn);
-
     // ---- faults ----
 
     /// Permanently halt a node: fold its load integral, stop its daemon,

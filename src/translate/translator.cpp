@@ -213,20 +213,11 @@ TranslatedRunResult run_translated(msg::Rank& rank, const MpiProgram& program,
                     // Perform the phase's inferred communication the way the
                     // rewritten program would.
                     if (pp.comm.pattern == CommPattern::NearestNeighbor) {
-                        int rel = rt.rel_rank(), n = rt.num_active();
                         std::vector<std::byte> buf(pp.comm.bytes_per_message);
-                        if (rel > 0)
-                            rt.send_rel(rel - 1, 60 + (int)pi, buf.data(),
-                                        buf.size());
-                        if (rel < n - 1)
-                            rt.send_rel(rel + 1, 80 + (int)pi, buf.data(),
-                                        buf.size());
-                        if (rel < n - 1)
-                            rt.recv_rel(rel + 1, 60 + (int)pi, buf.data(),
-                                        buf.size());
-                        if (rel > 0)
-                            rt.recv_rel(rel - 1, 80 + (int)pi, buf.data(),
-                                        buf.size());
+                        rt.exchange_neighbors(
+                            60 + (int)pi, 80 + (int)pi, buf.size(),
+                            [&](int) { return buf.data(); },
+                            [](int, const void*) {});
                     } else if (pp.comm.pattern == CommPattern::AllGather) {
                         std::vector<double> mine(
                             static_cast<std::size_t>(iters.count()), 1.0);

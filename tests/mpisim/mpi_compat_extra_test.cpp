@@ -82,6 +82,57 @@ TEST(MpiCompatExtra, IprobeAndGetCount) {
     });
 }
 
+TEST(MpiCompatExtra, IprobeWildcardsReportTheMatchedMessage) {
+    msg::Machine m(cfg(3));
+    m.run([](msg::Rank& r) {
+        MPI_Init(r);
+        if (r.id() == 2) {
+            int v[5] = {1, 2, 3, 4, 5};
+            MPI_Send(v, 5, MPI_INT, 0, 17, MPI_COMM_WORLD);
+        } else if (r.id() == 0) {
+            mpi_rank().sleep(0.5);
+            int flag = 0;
+            MPI_Status st;
+            MPI_Iprobe(MPI_ANY_SOURCE, MPI_ANY_TAG, MPI_COMM_WORLD, &flag,
+                       &st);
+            ASSERT_EQ(flag, 1);
+            EXPECT_EQ(st.MPI_SOURCE, 2);
+            EXPECT_EQ(st.MPI_TAG, 17);
+            int count = 0;
+            MPI_Get_count(&st, MPI_INT, &count);
+            EXPECT_EQ(count, 5);
+            int v[5];
+            MPI_Recv(v, 5, MPI_INT, st.MPI_SOURCE, st.MPI_TAG,
+                     MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+        }
+        MPI_Finalize();
+    });
+}
+
+TEST(MpiCompatExtra, WaitReportsTheMatchedTag) {
+    msg::Machine m(cfg(2));
+    m.run([](msg::Rank& r) {
+        MPI_Init(r);
+        if (r.id() == 0) {
+            double v[2] = {1.5, 2.5};
+            MPI_Send(v, 2, MPI_DOUBLE, 1, 23, MPI_COMM_WORLD);
+        } else {
+            double v[4];
+            MPI_Request req;
+            MPI_Irecv(v, 4, MPI_DOUBLE, MPI_ANY_SOURCE, MPI_ANY_TAG,
+                      MPI_COMM_WORLD, &req);
+            MPI_Status st;
+            MPI_Wait(&req, &st);
+            EXPECT_EQ(st.MPI_SOURCE, 0);
+            EXPECT_EQ(st.MPI_TAG, 23);
+            int count = 0;
+            MPI_Get_count(&st, MPI_DOUBLE, &count);
+            EXPECT_EQ(count, 2);
+        }
+        MPI_Finalize();
+    });
+}
+
 TEST(MpiCompatExtra, TrafficAccountingSplitsBySpace) {
     msg::Machine m(cfg(2));
     m.run([](msg::Rank& r) {

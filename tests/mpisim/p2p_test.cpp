@@ -108,16 +108,6 @@ TEST(P2P, FifoPreservedPerSenderAndTag) {
     });
 }
 
-TEST(P2P, SendRecvCrossExchange) {
-    Machine m(cfg(2));
-    m.run([](Rank& r) {
-        double mine = 100.0 + r.id(), theirs = -1;
-        int peer = 1 - r.id();
-        r.sendrecv(peer, 0, &mine, sizeof mine, peer, 0, &theirs, sizeof theirs);
-        EXPECT_DOUBLE_EQ(theirs, 100.0 + peer);
-    });
-}
-
 TEST(P2P, TransferTimeScalesWithMessageSize) {
     auto timed = [](std::size_t bytes) {
         Machine m(cfg(2));

@@ -47,7 +47,7 @@ TEST(Request, IrecvWaitDeliversPayload) {
 
 TEST(Request, PostAllReceivesThenWaitall) {
     // The classic MPI pattern: post every halo receive up front, send, then
-    // wait for all of them.
+    // wait for each of them.
     Machine m(cfg(4));
     m.run([](Rank& r) {
         int left = (r.id() + r.size() - 1) % r.size();
@@ -59,7 +59,7 @@ TEST(Request, PostAllReceivesThenWaitall) {
         int me = r.id();
         r.send(right, 1, &me, sizeof me);
         r.send(left, 2, &me, sizeof me);
-        r.waitall(reqs);
+        for (Request& q : reqs) r.wait(q);
         EXPECT_EQ(from_left, left);
         EXPECT_EQ(from_right, right);
     });

@@ -59,14 +59,6 @@ TEST(Cluster, DaemonsObserveScriptedLoad) {
     EXPECT_EQ(c.daemon(1).reported_load(), 1);
 }
 
-TEST(Cluster, AtRunsCallbackAtRequestedTime) {
-    Cluster c(small_config());
-    double seen = -1.0;
-    c.at(1.25, [&] { seen = to_seconds(c.engine().now()); });
-    c.engine().run_until(from_seconds(2.0));
-    EXPECT_DOUBLE_EQ(seen, 1.25);
-}
-
 TEST(Cluster, NodeIndexOutOfRangeRejected) {
     Cluster c(small_config(2));
     EXPECT_THROW(c.node(2), dynmpi::Error);

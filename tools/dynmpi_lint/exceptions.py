@@ -14,12 +14,14 @@ import re
 
 from . import Finding
 
-# msg::Rank / msg::Machine entry points (and the collective helpers built on
-# them) that can surface NodeCrashed / PeerFailure / EpochRevoked.
+# msg::Rank / msg::Machine entry points (and the collective helpers and
+# Runtime relative-rank calls built on them) that can surface NodeCrashed /
+# PeerFailure / EpochRevoked.
 _THROWING = (
-    "send_wire|recv_wire_packet|recv_wire|sendrecv|send_value|recv_value"
+    "send_wire|recv_wire_packet|recv_wire|send_value|recv_value"
     "|send_vector"
-    "|recv_vector|send|recv|isend|irecv|waitall|wait|revoke_control"
+    "|recv_vector|send|recv|isend|irecv|wait|revoke_control"
+    "|send_rel|recv_rel|exchange_neighbors|allgather_owned|allreduce_active"
     "|sync_revocations|bcast|reduce|allreduce|barrier|gather|allgather")
 _MEMBER_CALL = re.compile(r"(?:\.|->)\s*(" + _THROWING + r")\s*[(<]")
 _FREE_COLLECTIVE = re.compile(
