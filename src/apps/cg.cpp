@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -202,56 +203,74 @@ CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config) {
     double rr = sum_active(cg.local_dot(cg.R, cg.R));
 
     CgRecoverResult out;
-    int repairs_seen = rt.stats().crash_repairs;
-    for (int cycle = 0; cycle < config.cycles; ++cycle) {
-        fire_hook(config.on_cycle, rank, cycle);
-        for (;;) {
-            // Snapshot the cycle-start state of my rows.  After a rollback
-            // the restored + rolled-back rows are again at cycle start, so
-            // re-snapshotting each attempt also covers freshly adopted rows
-            // before a possible second crash.
-            std::vector<int> snap_rows = rt.my_iters(cg.ph).to_vector();
-            std::vector<double> snap_x, snap_r, snap_p, snap_q;
-            for (int i : snap_rows) {
-                snap_x.push_back(cg.X.at<double>(i, 0));
-                snap_r.push_back(cg.R.at<double>(i, 0));
-                snap_p.push_back(cg.P.at<double>(i, 0));
-                snap_q.push_back(cg.Q.at<double>(i, 0));
-            }
-            const double rr_snap = rr;
+    // The start state of my rows at the current and at the previous cycle,
+    // indexed by cycle parity: an agreed rollback never goes further back.
+    struct Snapshot {
+        int cycle = -1;
+        double rr = 0.0;
+        std::vector<int> rows;
+        std::vector<double> x, r, p;
+    };
+    Snapshot snaps[2];
+    int hooked = 0; // the hook fires once per cycle, not again on a redo
+    for (int cycle = 0; cycle < config.cycles;) {
+        if (cycle == hooked) {
+            fire_hook(config.on_cycle, rank, cycle);
+            ++hooked;
+        }
+        Snapshot& snap = snaps[cycle % 2];
+        snap.cycle = cycle;
+        snap.rr = rr;
+        snap.rows = rt.my_iters(cg.ph).to_vector();
+        snap.x.clear();
+        snap.r.clear();
+        snap.p.clear();
+        for (int i : snap.rows) {
+            snap.x.push_back(cg.X.at<double>(i, 0));
+            snap.r.push_back(cg.R.at<double>(i, 0));
+            snap.p.push_back(cg.P.at<double>(i, 0));
+        }
 
-            try {
-                rt.begin_cycle();
-                rr = cg.iterate(rr, sum_active);
-                rt.end_cycle();
-            } catch (const msg::PeerFailure&) {
-                // A peer died mid-cycle.  Wake every rank stranded in the
-                // abandoned collective, then join the survivors in
-                // end_cycle: its monitoring pass repairs the active set and
-                // restores the dead node's rows from the buddy.
-                rank.revoke_control();
-                rt.end_cycle();
-            } catch (const msg::EpochRevoked&) {
-                rt.end_cycle();
-            }
-            if (rt.stats().crash_repairs == repairs_seen) break;
-            // A crash was repaired somewhere in this cycle (possibly after
-            // the arithmetic above completed): roll my rows and rr back to
-            // the snapshot and redo the whole cycle against the repaired
-            // ownership.  The adopter's restored rows already hold the
-            // cycle-start state, so no rollback is needed for them.
-            repairs_seen = rt.stats().crash_repairs;
-            ++out.redo_cycles;
-            for (std::size_t k = 0; k < snap_rows.size(); ++k) {
-                int i = snap_rows[k];
-                cg.X.at<double>(i, 0) = snap_x[k];
-                cg.R.at<double>(i, 0) = snap_r[k];
-                cg.P.at<double>(i, 0) = snap_p[k];
-                cg.Q.at<double>(i, 0) = snap_q[k];
-            }
-            rr = rr_snap;
+        bool interrupted = false;
+        try {
+            rt.begin_cycle();
+            rr = cg.iterate(rr, sum_active);
+            rt.end_cycle();
+        } catch (const msg::PeerFailure&) {
+            // A peer died mid-cycle.  Wake every rank stranded in the
+            // abandoned collective, then join the survivors in end_cycle:
+            // its monitoring pass repairs the active set, agrees on the
+            // rollback cycle and restores the dead node's rows.
+            interrupted = true;
+            rank.revoke_control();
+            rt.end_cycle();
+        } catch (const msg::EpochRevoked&) {
+            interrupted = true;
+            rt.end_cycle();
         }
         out.residual_history.push_back(rr);
+        ++cycle;
+
+        const std::optional<int> restart = rt.take_rollback();
+        DYNMPI_CHECK(!interrupted || (restart && *restart < cycle),
+                     "cycle lost without a rollback");
+        if (!restart || *restart == cycle) continue;
+        // Every survivor restarts from the agreed cycle: put my rows and rr
+        // back to its start; the restored rows of the dead node already
+        // hold that state.
+        const Snapshot& back = snaps[*restart % 2];
+        DYNMPI_CHECK(back.cycle == *restart,
+                     "no snapshot of the agreed rollback cycle");
+        for (std::size_t k = 0; k < back.rows.size(); ++k) {
+            const int i = back.rows[k];
+            cg.X.at<double>(i, 0) = back.x[k];
+            cg.R.at<double>(i, 0) = back.r[k];
+            cg.P.at<double>(i, 0) = back.p[k];
+        }
+        rr = back.rr;
+        out.redo_cycles += cycle - *restart;
+        out.residual_history.resize(static_cast<std::size_t>(*restart));
+        cycle = *restart;
     }
 
     // Bitwise row compare: restored matrix rows must match the generator

@@ -36,12 +36,13 @@ struct CgRecoverResult : CgResult {
 };
 
 /// Crash-masked CG.  Requires RuntimeOptions.replicate: every completed
-/// cycle's replica refresh makes the buddies hold the cycle-boundary state,
-/// so when a node crash is repaired mid-cycle the adopter's restored rows
-/// and every survivor's snapshot rollback meet at the same consistent point
-/// and the cycle is simply redone.  Intended for quiet-load scenarios (no
-/// removal of live nodes): a removed-but-alive follower could not take part
-/// in the rollback.
+/// cycle's replica refresh makes the buddies hold the cycle-boundary state.
+/// When a node crash is repaired, the survivors agree on one restart cycle
+/// (Runtime::take_rollback); each puts its rows back to that cycle's start
+/// from the last two cycle-start snapshots, the adopter's restored rows
+/// hold the same state, and the solve carries on from there.  Intended for
+/// quiet-load scenarios (no removal of live nodes): a removed-but-alive
+/// follower could not take part in the rollback.
 CgRecoverResult run_cg_recoverable(msg::Rank& rank, const CgConfig& config);
 
 /// Reference single-process CG on the same system; returns ||r||^2 history.

@@ -9,6 +9,20 @@
 
 namespace dynmpi {
 
+namespace {
+/// Rounds of the allgather in mpisim/collectives.hpp: ceil(log2 n).
+int allgather_rounds(int n) {
+    int rounds = 0;
+    while ((1 << rounds) < n) ++rounds;
+    return rounds;
+}
+
+/// Bytes of the gathered vector a member sends, and receives, in all.
+double allgather_share(const PhaseComm& p, int n) {
+    return (n - 1.0) / n * static_cast<double>(p.bytes_per_message);
+}
+}  // namespace
+
 double comm_cpu_per_cycle(const CommCosts& c, const PhaseComm& p,
                           int active_nodes) {
     DYNMPI_REQUIRE(active_nodes > 0, "need at least one active node");
@@ -21,12 +35,10 @@ double comm_cpu_per_cycle(const CommCosts& c, const PhaseComm& p,
         // for interior nodes.
         return 4.0 * c.cpu_cost(p.bytes_per_message);
     case CommPattern::AllGather:
-        // Tree-based: ~2*log2(n) message handlings of the full vector.
-        {
-            double logn = 1.0;
-            for (int k = 1; k < active_nodes; k *= 2) logn += 1.0;
-            return 2.0 * logn * c.cpu_cost(p.bytes_per_message);
-        }
+        // Bruck's allgather: on each side ceil(log2 n) messages, which
+        // carry (n-1)/n of the vector once in all.
+        return 2.0 * (allgather_rounds(active_nodes) * c.cpu_per_msg_s +
+                      c.cpu_per_byte_s * allgather_share(p, active_nodes));
     }
     return 0.0;
 }
@@ -43,11 +55,9 @@ double comm_wire_per_cycle(const CommCosts& c, const PhaseComm& p,
         // removal predictor must not talk itself out of beneficial drops by
         // overcharging the smaller configuration.
         return c.wire_time(p.bytes_per_message);
-    case CommPattern::AllGather: {
-        double logn = 1.0;
-        for (int k = 1; k < active_nodes; k *= 2) logn += 1.0;
-        return logn * c.wire_time(p.bytes_per_message);
-    }
+    case CommPattern::AllGather:
+        return allgather_rounds(active_nodes) * c.latency_s +
+               allgather_share(p, active_nodes) / c.bandwidth_Bps;
     }
     return 0.0;
 }

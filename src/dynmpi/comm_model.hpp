@@ -38,7 +38,9 @@ enum class CommPattern {
 
 struct PhaseComm {
     CommPattern pattern = CommPattern::NearestNeighbor;
-    std::size_t bytes_per_message = 0; ///< e.g. one ghost row
+    /// One ghost row (NearestNeighbor), or the whole gathered vector
+    /// (AllGather).
+    std::size_t bytes_per_message = 0;
 };
 
 /// Predicted CPU seconds per phase cycle a node spends communicating.

@@ -6,7 +6,33 @@
 
 namespace dynmpi {
 
-ReplicaStore::ReplicaStore(std::size_t num_arrays) : rows_(num_arrays) {}
+ReplicaStore::ReplicaStore(std::size_t num_arrays)
+    : rows_(num_arrays), staged_(num_arrays) {}
+
+void ReplicaStore::stage(std::size_t array_idx, RowPayload rows) {
+    DYNMPI_REQUIRE(array_idx < rows_.size(), "replica store: bad array");
+    staged_[array_idx] = std::move(rows);
+}
+
+void ReplicaStore::commit(int version, int source, bool wholesale) {
+    const bool replace = wholesale || source != source_;
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+        RowSet stored = store(i, staged_[i]);
+        if (replace) retain_only(i, stored);
+    }
+    version_ = version;
+    source_ = source;
+    discard_staged();
+}
+
+void ReplicaStore::discard_staged() {
+    for (RowPayload& p : staged_) p = RowPayload{};
+}
+
+void ReplicaStore::rollback(int version) {
+    discard_staged();
+    if (version_ > version) version_ = -1;
+}
 
 // dynmpi-lint: repair-critical
 RowSet ReplicaStore::store(std::size_t array_idx, const RowPayload& rows) {
@@ -69,6 +95,9 @@ void ReplicaStore::retain_only(std::size_t array_idx, const RowSet& keep) {
 
 void ReplicaStore::clear() {
     for (auto& store : rows_) store.clear();
+    discard_staged();
+    version_ = -1;
+    source_ = -1;
     bytes_ = 0;
 }
 

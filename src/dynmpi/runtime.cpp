@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "mpisim/rank.hpp"
 #include "support/error.hpp"
@@ -189,9 +190,21 @@ void Runtime::commit_setup() {
 
     comm_costs_ =
         opts_.calibrate ? calibrate_comm_costs(rank_, world_) : CommCosts{};
-    speeds_ = msg::allgather_scalar(rank_, world_, node_speed());
-    memories_ = msg::allgather_scalar(
-        rank_, world_, static_cast<double>(rank_.node().memory_bytes()));
+    // Node speeds and memories: the leader gathers each node's pair and
+    // broadcasts all of them in one message.
+    const auto pairs = msg::gather(
+        rank_, world_, 0,
+        std::vector<double>{node_speed(),
+                            static_cast<double>(rank_.node().memory_bytes())});
+    std::vector<double> blob;
+    for (const auto& pair : pairs) blob.push_back(pair.at(0));
+    for (const auto& pair : pairs) blob.push_back(pair.at(1));
+    msg::bcast(rank_, world_, 0, blob);
+    const auto W = static_cast<std::ptrdiff_t>(world_.size());
+    DYNMPI_CHECK(blob.size() == 2 * static_cast<std::size_t>(W),
+                 "bad speed and memory snapshot");
+    speeds_.assign(blob.begin(), blob.begin() + W);
+    memories_.assign(blob.begin() + W, blob.end());
     // The baseline is the load the *current distribution* was computed for.
     // The initial even-block split assumes dedicated nodes, so any load that
     // already exists at startup must register as a change on cycle one.
@@ -406,6 +419,18 @@ RowSet Runtime::take_recovered_rows() {
     return r;
 }
 
+std::optional<int> Runtime::take_rollback() {
+    DYNMPI_REQUIRE(!in_cycle_, "take_rollback inside a cycle");
+    const std::optional<int> t = std::exchange(rollback_, std::nullopt);
+    if (t) {
+        stats_.cycles = *t;
+        // Cycles from T on run again: a fresh refresh salt keeps their
+        // replica traffic apart from packets of the abandoned attempt.
+        ++rollbacks_;
+    }
+    return t;
+}
+
 bool Runtime::report_stale(int w) const {
     const sim::PsDaemon& d = rank_.machine().cluster().daemon(w);
     if (d.last_sample_time() < 0) return false; // no completed window yet
@@ -532,6 +557,7 @@ bool Runtime::repair_active_set() {
         RowSet owned = dist_.iters_of(active_.index_of(rank_.id()));
         for (auto& ai : arrays_) ai.array->mark_rows_dirty(owned);
         replica_skip_cycle_ = true;
+        rollback_due_ = true;
     } else {
         recovered_rows_ = recovered_rows_.unite(adopted);
     }
@@ -572,7 +598,11 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
         replica_xfer_key_ = key;
         replica_arrays_sent_ = 0;
         replica_arrays_recvd_ = 0;
+        replicas_->discard_staged();
     }
+    // Inside end_cycle the rows already hold the next cycle's start state;
+    // between cycles (a manual redistribution), the coming cycle's.
+    const int version = stats_.cycles + (monitoring_ ? 1 : 0);
     const RowSet owned = dist_.iters_of(rel);
     double t0 = rank_.hrtime();
     std::uint64_t bytes_out = 0;
@@ -594,10 +624,12 @@ void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
             .add(static_cast<std::int64_t>(bytes_out));
     while (replica_arrays_recvd_ < static_cast<int>(arrays_.size())) {
         auto i = static_cast<std::size_t>(replica_arrays_recvd_);
-        RowSet stored = replicas_->store(
-            i, recv_rows(rank_, pred, replica_tag(wholesale, salt, i)));
-        if (wholesale) replicas_->retain_only(i, stored);
-        ++replica_arrays_recvd_;
+        replicas_->stage(i,
+                         recv_rows(rank_, pred, replica_tag(wholesale, salt, i)));
+        // All or nothing: a refresh whose sender dies midway never
+        // replaces the version before it.
+        if (++replica_arrays_recvd_ == static_cast<int>(arrays_.size()))
+            replicas_->commit(version, pred, wholesale);
     }
     ++refreshes_done_;
     if (support::trace().enabled())
@@ -615,6 +647,13 @@ void Runtime::perform_pending_restores() {
     auto& cluster = rank_.machine().cluster();
     const int me = rank_.id();
     msg::Rank::ControlScope data_plane(rank_, /*enable=*/false);
+    // The buddy's copies are usable only if they hold the agreed rollback
+    // cycle's state; otherwise every row counts as lost.
+    auto restorable = [&](std::size_t i, const RowSet& rows) {
+        return rollback_ && replicas_->version() == *rollback_
+                   ? replicas_->extract(i, rows)
+                   : RowPayload{};
+    };
     auto it = pending_restores_.begin();
     while (it != pending_restores_.end()) {
         PendingRestore& pr = *it;
@@ -632,7 +671,7 @@ void Runtime::perform_pending_restores() {
             while (pr.arrays_done < static_cast<int>(arrays_.size())) {
                 auto i = static_cast<std::size_t>(pr.arrays_done);
                 send_rows(rank_, pr.adopter, restore_tag(pr.dead, pr.gen, i),
-                          replicas_->extract(i, pr.rows));
+                          restorable(i, pr.rows));
                 ++pr.arrays_done;
             }
         } else if (is_adopter) {
@@ -646,7 +685,7 @@ void Runtime::perform_pending_restores() {
                     break;
                 }
                 RowPayload copies =
-                    is_buddy ? replicas_->extract(i, pr.rows)
+                    is_buddy ? restorable(i, pr.rows)
                              : recv_rows(rank_, pr.buddy,
                                          restore_tag(pr.dead, pr.gen, i));
                 RowSet got = copies.rows();
@@ -682,6 +721,25 @@ void Runtime::perform_pending_restores() {
     }
 }
 
+void Runtime::agree_rollback(const msg::Group& pg) {
+    // This rank can restart from the start of its current cycle, or of the
+    // next one when its whole cycle ran before the crash.  As the buddy of
+    // a dead node, it can restore that node's last complete refresh.
+    int mine = stats_.cycles + (cycle_clean_ ? 1 : 0);
+    for (const PendingRestore& pr : pending_restores_)
+        if (pr.buddy == rank_.id() && replicas_->version() >= 0)
+            mine = std::min(mine, replicas_->version());
+    const int t = msg::allreduce_scalar(rank_, pg, mine, msg::OpMin{});
+    rollback_ = t;
+    rollback_due_ = false;
+    replicas_->rollback(t);
+    if (support::trace().enabled())
+        support::trace().instant(rank_.hrtime(), rank_.id(),
+                                 "runtime.rollback_agreed",
+                                 {targ("cycle", stats_.cycles),
+                                  targ("restart_cycle", t)});
+}
+
 void Runtime::run_monitoring(CycleRecord& rec, double wall) {
     // Snapshot the mode-progress state so a retried attempt replays the
     // cycle's protocol from the same starting point.
@@ -703,6 +761,7 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
             restart_grace();
         try {
             if (participating()) {
+                if (rollback_due_) agree_rollback(protocol_group());
                 perform_pending_restores();
                 active_cycle_monitor(rec, wall);
             } else {
@@ -932,6 +991,7 @@ void Runtime::begin_cycle() {
     DYNMPI_REQUIRE(!in_cycle_, "begin_cycle without end_cycle");
     in_cycle_ = true;
     cycle_start_ = rank_.hrtime();
+    cycle_epoch_ = rank_.machine().revoke_epoch();
     for (auto& p : phases_) p.measured_this_cycle = false;
 }
 
@@ -1198,9 +1258,11 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
     agg = msg::allreduce(rank_, pg, std::move(agg), msg::OpMax{});
     rec.max_wall_s = agg[1];
     bool load_changed = agg[0] > kLoadChangeEps;
-    if (opts_.replicate && !replica_skip_cycle_)
-        replica_refresh(/*wholesale=*/false,
-                        static_cast<std::uint64_t>(stats_.cycles));
+    if (opts_.replicate && !replica_skip_cycle_) {
+        auto salt = static_cast<std::uint64_t>(stats_.cycles);
+        if (rollbacks_ > 0) salt = hash_combine(salt, rollbacks_);
+        replica_refresh(/*wholesale=*/false, salt);
+    }
 
     bool may_adapt = opts_.max_redistributions < 0 ||
                      stats_.redistributions < opts_.max_redistributions;
@@ -1283,7 +1345,10 @@ void Runtime::end_cycle() {
         int redist_before = stats_.redistributions;
         statuses_sent_this_cycle_ = false;
         replica_skip_cycle_ = false;
+        cycle_clean_ = rank_.machine().revoke_epoch() == cycle_epoch_;
+        monitoring_ = true;
         run_monitoring(rec, wall);
+        monitoring_ = false;
         rec.redistributed = stats_.redistributions != redist_before;
     }
 

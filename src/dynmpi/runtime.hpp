@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -220,6 +221,15 @@ public:
     /// refresh interval) and the application must re-initialize those rows.
     RowSet take_recovered_rows();
 
+    /// After a crash repair with replication on: the cycle T every
+    /// survivor agreed to restart from, taken once.  The restored rows of
+    /// the dead nodes hold their state at the start of cycle T, so an
+    /// application that keeps the start state of its current and previous
+    /// cycle restores the one for T (no rollback when T is the next cycle)
+    /// and carries on from T; the runtime's next cycle becomes T.  Empty
+    /// when no repair happened since the last call.  Call between cycles.
+    std::optional<int> take_rollback();
+
     // ---- introspection ----
 
     const Distribution& distribution() const { return dist_; }
@@ -269,6 +279,12 @@ private:
     /// restore jobs are queued for perform_pending_restores.  Returns true
     /// if anything changed.
     bool repair_active_set();
+
+    /// Protocol round after a repair: survivors agree on the rollback
+    /// cycle T, the minimum over every survivor's restartable cycle and
+    /// over the version of each dead node's last complete replica refresh
+    /// (see take_rollback).
+    void agree_rollback(const msg::Group& pg);
 
     // ---- replication + rejoin internals ----
 
@@ -364,6 +380,11 @@ private:
 
     double cycle_start_ = 0.0;
     bool in_cycle_ = false;
+    bool monitoring_ = false; ///< inside end_cycle's monitoring pass
+    std::uint64_t cycle_epoch_ = 0; ///< revocation epoch at begin_cycle
+    /// No crash or revocation landed between begin_cycle and end_cycle, so
+    /// this rank's rows already hold the start state of the next cycle.
+    bool cycle_clean_ = true;
     std::uint64_t redist_seq_ = 0;
     std::uint64_t sendout_seq_ = 0;
 
@@ -382,6 +403,9 @@ private:
     int replica_arrays_sent_ = 0;   ///< per-key retry resume points
     int replica_arrays_recvd_ = 0;
     bool replica_skip_cycle_ = false; ///< membership changed mid-cycle
+    bool rollback_due_ = false;        ///< a repair awaits agree_rollback
+    std::optional<int> rollback_;      ///< agreed, not yet taken
+    std::uint64_t rollbacks_ = 0;      ///< rollbacks taken (refresh salt)
     /// One queued restoration of a dead node's block from its buddy.
     struct PendingRestore {
         int dead = -1;

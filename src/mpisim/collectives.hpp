@@ -7,12 +7,15 @@
 // sequence of collectives on that group; per-group sequence counters keep
 // wire tags aligned even when a rank simultaneously belongs to other groups.
 //
-// Algorithms are the classic binomial-tree (bcast, reduce) and linear-gather
-// variants; with an eager, buffered message layer they are deadlock-free for
-// any group size, including singletons.
+// Algorithms: binomial trees for bcast and reduce (allreduce is one of each),
+// Bruck's ceil(log2 n)-round exchange for allgather, and linear sends for
+// gather, scatter, scan and alltoall.  With an eager, buffered message layer
+// they are deadlock-free for any group size, including singletons.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -225,48 +228,66 @@ std::vector<std::vector<T>> gather(Rank& rank, const Group& g, int root,
     return out;
 }
 
-/// Allgather: every member ends with every member's vector.
-/// Implemented as gather at member 0 plus a broadcast of the flattened data
-/// and lengths.
+/// Allgather: every member ends with every member's vector, in relative
+/// rank order (Bruck et al., IEEE TPDS 1997).  Member `rel` keeps block j
+/// of one flat buffer for relative rank (rel + j) mod n.  In the round at
+/// distance d = 1, 2, 4, ... it sends its first min(d, n - d) blocks to
+/// rel - d and appends those of rel + d, so ceil(log2 n) rounds collect all
+/// n blocks; each round is one message, the block lengths and then the
+/// blocks.  One rotation puts the blocks into relative-rank order.
 template <typename T>
 std::vector<std::vector<T>> allgather(Rank& rank, const Group& g,
                                       const std::vector<T>& mine) {
-    auto rooted = gather(rank, g, 0, mine);
+    static_assert(std::is_trivially_copyable_v<T>);
+    const int n = g.size();
+    const int rel = g.index_of(rank.id());
+    DYNMPI_REQUIRE(rel >= 0, "allgather by non-member");
+    std::uint64_t tag = detail::coll_tag(g, rank.next_group_seq(g.hash()));
 
-    std::vector<std::uint64_t> lengths;
-    std::vector<T> flat;
-    if (g.index_of(rank.id()) == 0) {
-        for (auto& v : rooted) {
-            lengths.push_back(v.size());
-            flat.insert(flat.end(), v.begin(), v.end());
+    std::vector<T> flat(mine);
+    std::vector<std::uint64_t> ends{mine.size()}; ///< block j ends at ends[j]
+    std::vector<std::byte> out;
+    for (int d = 1; d < n; d *= 2) {
+        const auto blocks = static_cast<std::size_t>(std::min(d, n - d));
+        const std::size_t head = blocks * sizeof(std::uint64_t);
+        const std::uint64_t elems = ends[blocks - 1];
+        out.resize(head + elems * sizeof(T));
+        for (std::size_t j = 0; j < blocks; ++j) {
+            const std::uint64_t len = ends[j] - (j ? ends[j - 1] : 0);
+            std::memcpy(out.data() + j * sizeof len, &len, sizeof len);
         }
-    }
-    bcast(rank, g, 0, lengths);
-    bcast(rank, g, 0, flat);
+        if (elems > 0)
+            std::memcpy(out.data() + head, flat.data(), elems * sizeof(T));
+        rank.send_wire(g.member((rel - d + n) % n), tag, out.data(),
+                       out.size());
 
-    std::vector<std::vector<T>> out;
-    out.reserve(lengths.size());
-    std::size_t pos = 0;
-    for (std::uint64_t len : lengths) {
-        out.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(pos),
-                         flat.begin() + static_cast<std::ptrdiff_t>(pos + len));
-        pos += len;
+        const std::vector<std::byte> in =
+            rank.recv_wire(g.member((rel + d) % n), tag);
+        DYNMPI_CHECK(in.size() >= head, "allgather message too short");
+        std::uint64_t got = 0;
+        for (std::size_t j = 0; j < blocks; ++j) {
+            std::uint64_t len = 0;
+            std::memcpy(&len, in.data() + j * sizeof len, sizeof len);
+            got += len;
+            ends.push_back(ends.back() + len);
+        }
+        DYNMPI_CHECK(in.size() == head + got * sizeof(T),
+                     "allgather message length mismatch");
+        flat.resize(flat.size() + got);
+        if (got > 0)
+            std::memcpy(flat.data() + flat.size() - got, in.data() + head,
+                        got * sizeof(T));
     }
-    return out;
-}
 
-/// Scalar allgather convenience: returns one value per member, in relative
-/// rank order.
-template <typename T>
-std::vector<T> allgather_scalar(Rank& rank, const Group& g, T value) {
-    auto vecs = allgather(rank, g, std::vector<T>{value});
-    std::vector<T> out;
-    out.reserve(vecs.size());
-    for (auto& v : vecs) {
-        DYNMPI_CHECK(v.size() == 1, "scalar allgather length mismatch");
-        out.push_back(v[0]);
+    std::vector<std::vector<T>> all(static_cast<std::size_t>(n));
+    std::uint64_t begin = 0;
+    for (std::size_t j = 0; j < ends.size(); ++j) {
+        all[(static_cast<std::size_t>(rel) + j) % all.size()].assign(
+            flat.begin() + static_cast<std::ptrdiff_t>(begin),
+            flat.begin() + static_cast<std::ptrdiff_t>(ends[j]));
+        begin = ends[j];
     }
-    return out;
+    return all;
 }
 
 /// Scatter: the root distributes chunks[j] to relative rank j; every member

@@ -12,6 +12,7 @@ Network::Network(Engine& engine, NetParams params, int num_nodes)
     DYNMPI_REQUIRE(num_nodes > 0, "network needs at least one node");
     DYNMPI_REQUIRE(params_.bandwidth_Bps > 0.0, "bandwidth must be positive");
     nic_free_.assign(static_cast<std::size_t>(num_nodes), 0);
+    sent_by_.assign(static_cast<std::size_t>(num_nodes), 0);
     crashed_.assign(static_cast<std::size_t>(num_nodes), 0);
     fail_tokens_.assign(static_cast<std::size_t>(num_nodes), 0);
 }
@@ -63,6 +64,7 @@ bool Network::transmit(Packet&& p) {
     }
     const std::size_t wire_bytes = p.wire_size();
     ++messages_;
+    ++sent_by_[static_cast<std::size_t>(p.src)];
     bytes_ += wire_bytes;
 
     SimTime deliver_at;

@@ -112,6 +112,10 @@ public:
     }
 
     std::uint64_t messages_sent() const { return messages_; }
+    /// Messages node `node` put on the wire.
+    std::uint64_t messages_sent(int node) const {
+        return sent_by_.at(static_cast<std::size_t>(node));
+    }
     std::uint64_t bytes_sent() const { return bytes_; }
     std::uint64_t send_failures() const { return send_failures_; }
     std::uint64_t dropped_crashed() const { return dropped_crashed_; }
@@ -122,6 +126,7 @@ private:
     std::vector<SimTime> nic_free_; ///< per-node earliest NIC availability
     std::function<void(Packet&&)> deliver_;
     std::uint64_t messages_ = 0;
+    std::vector<std::uint64_t> sent_by_; ///< per-node messages_
     std::uint64_t bytes_ = 0;
     std::vector<char> crashed_;    ///< per-node crashed flag
     std::vector<int> fail_tokens_; ///< per-node armed transient send failures

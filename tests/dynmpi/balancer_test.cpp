@@ -250,6 +250,22 @@ TEST(CommModel, AllGatherGrowsWithNodes) {
     EXPECT_LT(comm_cpu_per_cycle(c, p, 4), comm_cpu_per_cycle(c, p, 32));
 }
 
+// Bruck's allgather of a 32 KB vector: per side ceil(log2 n) messages and
+// (n-1)/n of the vector; on the wire ceil(log2 n) latencies plus that share
+// over the bandwidth (default CommCosts: 100 us, 12.5 MB/s, 50 us + 2 ns/B).
+TEST(CommModel, AllGatherPricesBruckRounds) {
+    CommCosts c;
+    PhaseComm p{CommPattern::AllGather, 32768};
+    EXPECT_DOUBLE_EQ(comm_cpu_per_cycle(c, p, 1), 0.0);
+    EXPECT_DOUBLE_EQ(comm_wire_per_cycle(c, p, 1), 0.0);
+    EXPECT_NEAR(comm_cpu_per_cycle(c, p, 2), 1.65536e-4, 1e-15);
+    EXPECT_NEAR(comm_wire_per_cycle(c, p, 2), 1.41072e-3, 1e-15);
+    EXPECT_NEAR(comm_cpu_per_cycle(c, p, 15), 5.22333866667e-4, 1e-15);
+    EXPECT_NEAR(comm_wire_per_cycle(c, p, 15), 2.84667733333e-3, 1e-14);
+    EXPECT_NEAR(comm_cpu_per_cycle(c, p, 16), 5.2288e-4, 1e-15);
+    EXPECT_NEAR(comm_wire_per_cycle(c, p, 16), 2.8576e-3, 1e-15);
+}
+
 TEST(CommModel, NonePatternIsFree) {
     CommCosts c;
     PhaseComm p{CommPattern::None, 1 << 20};

@@ -169,5 +169,82 @@ TEST(ReplicaStore, RetainOnlyAndClearKeepBytes) {
     EXPECT_TRUE(store.extract(1, RowSet(0, 16)).size() == 0);
 }
 
+// A refresh is all or nothing: until commit() the staged arrays are
+// invisible, and a refresh whose sender died midway is dropped whole.
+TEST(ReplicaStore, StagedRefreshCommitsWhole) {
+    DenseArray x = make_dense();
+    DenseArray y = make_dense();
+    x.ensure_rows(RowSet(0, 2));
+    y.ensure_rows(RowSet(0, 2));
+    for (int r = 0; r < 2; ++r) {
+        fill(x, r, 10.0 + r);
+        fill(y, r, 20.0 + r);
+    }
+    ReplicaStore store(2);
+    EXPECT_EQ(store.version(), -1);
+    store.stage(0, x.pack_rows(RowSet(0, 2)));
+    store.stage(1, y.pack_rows(RowSet(0, 2)));
+    store.commit(7, /*source=*/3, /*wholesale=*/true);
+    EXPECT_EQ(store.version(), 7);
+
+    // Cycle 7's delta reaches the store for x only: nothing of it shows.
+    fill(x, 0, -1.0);
+    store.stage(0, x.pack_rows(RowSet(0, 1)));
+    EXPECT_EQ(store.version(), 7);
+    expect_payload(store.extract(0, RowSet(0, 2)), RowSet(0, 2),
+                   [](int r) { return 10.0 + r; });
+    store.discard_staged();
+
+    // The whole delta of the next attempt commits over the same rows.
+    fill(y, 1, -2.0);
+    store.stage(0, x.pack_rows(RowSet(0, 1)));
+    store.stage(1, y.pack_rows(RowSet(1, 2)));
+    store.commit(8, 3, false);
+    EXPECT_EQ(store.version(), 8);
+    expect_payload(store.extract(0, RowSet(0, 2)), RowSet(0, 2),
+                   [](int r) { return r == 0 ? -1.0 : 11.0; });
+    expect_payload(store.extract(1, RowSet(0, 2)), RowSet(0, 2),
+                   [](int r) { return r == 0 ? 20.0 : -2.0; });
+}
+
+// After the ring changed, a delta from the new predecessor replaces the
+// rows of the old one instead of mixing with them.
+TEST(ReplicaStore, DeltaFromNewSourceReplacesRows) {
+    DenseArray owner = make_dense();
+    owner.ensure_rows(RowSet(0, 6));
+    ReplicaStore store(1);
+    store.stage(0, owner.pack_rows(RowSet(0, 4)));
+    store.commit(2, /*source=*/1, /*wholesale=*/false);
+    store.stage(0, owner.pack_rows(RowSet(4, 6)));
+    store.commit(3, /*source=*/1, false);
+    EXPECT_EQ(store.rows_held(0, RowSet(0, 16)), RowSet(0, 6));
+    store.stage(0, owner.pack_rows(RowSet(2, 5)));
+    store.commit(4, /*source=*/2, false);
+    EXPECT_EQ(store.rows_held(0, RowSet(0, 16)), RowSet(2, 5));
+    EXPECT_EQ(store.bytes(), 3 * owner.row_bytes());
+}
+
+// Survivors restart from an agreed cycle: rows of a later cycle lose their
+// version (a restore would ship the wrong state), and a staged refresh of
+// the abandoned attempt is dropped.
+TEST(ReplicaStore, RollbackForgetsLaterVersions) {
+    DenseArray owner = make_dense();
+    owner.ensure_rows(RowSet(0, 2));
+    fill(owner, 0, 1.0);
+    ReplicaStore store(1);
+    store.stage(0, owner.pack_rows(RowSet(0, 2)));
+    store.commit(5, 0, true);
+    store.rollback(5);
+    EXPECT_EQ(store.version(), 5);
+
+    fill(owner, 0, 9.0);
+    store.stage(0, owner.pack_rows(RowSet(0, 1)));
+    store.rollback(4);
+    EXPECT_EQ(store.version(), -1);
+    store.commit(6, 0, false); // nothing staged survives the rollback
+    expect_payload(store.extract(0, RowSet(0, 1)), RowSet(0, 1),
+                   [](int) { return 1.0; });
+}
+
 }  // namespace
 }  // namespace dynmpi

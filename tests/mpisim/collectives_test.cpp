@@ -100,9 +100,10 @@ TEST_P(CollectivesParam, AllgatherGivesEveryoneEverything) {
     int n = GetParam();
     m.run([n](Rank& r) {
         Group g = Group::world(r);
-        auto all = allgather_scalar(r, g, 100 + r.id());
+        auto all = allgather(r, g, std::vector<int>{100 + r.id()});
         ASSERT_EQ(static_cast<int>(all.size()), n);
-        for (int i = 0; i < n; ++i) EXPECT_EQ(all[(size_t)i], 100 + i);
+        for (int i = 0; i < n; ++i)
+            EXPECT_EQ(all[(size_t)i], std::vector<int>{100 + i});
     });
 }
 
