@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "dynmpi/runtime.hpp"
+#include "support/error.hpp"
 
 namespace dynmpi {
 
@@ -66,16 +68,11 @@ std::vector<int> block_counts(const RuntimeOptions& opts,
         opts.scheme == BalanceScheme::RelativePower ? naive_shares(b.nodes)
                                                     : successive_shares(b);
     std::vector<double> shares(parties.size(), 0.0);
-    std::vector<int> caps(parties.size(), 0); // 0 = unlimited
-    for (std::size_t j = 0, k = 0; j < parties.size(); ++j) {
+    for (std::size_t j = 0, k = 0; j < parties.size(); ++j)
         if (k < balanced.size() && balanced[k] == parties[j])
             shares[j] = balanced_shares[k++];
-        double mem = in.memories[static_cast<std::size_t>(parties[j])];
-        if (opts.memory_aware && in.row_bytes > 0 && mem > 0)
-            caps[j] = static_cast<int>(mem / static_cast<double>(in.row_bytes));
-    }
     return apply_row_caps(blocks_from_shares(b.row_costs, shares, min_rows),
-                          caps);
+                          row_caps(opts, in.memories, in.row_bytes, parties));
 }
 
 }  // namespace
@@ -148,6 +145,65 @@ Decision decide_post_grace(const RuntimeOptions& opts,
     d.counts = block_counts(opts, in, d.new_active, keep,
                             physical ? 1 : kLogicalMinRows);
     return d;
+}
+
+std::vector<int> row_caps(const RuntimeOptions& opts,
+                          const std::vector<double>& memories,
+                          std::size_t row_bytes,
+                          const std::vector<int>& members) {
+    std::vector<int> caps(members.size(), 0);
+    for (std::size_t j = 0; j < members.size(); ++j) {
+        const double mem = memories[static_cast<std::size_t>(members[j])];
+        if (opts.memory_aware && row_bytes > 0 && mem > 0)
+            caps[j] = static_cast<int>(mem / static_cast<double>(row_bytes));
+    }
+    return caps;
+}
+
+std::vector<int> survivor_counts(const std::vector<int>& counts,
+                                 const std::vector<char>& dead,
+                                 const std::vector<int>& caps) {
+    DYNMPI_REQUIRE(counts.size() == dead.size(),
+                   "crash flags do not match the blocks");
+    // Each survivor keeps its block up to the minimum; its weight is what
+    // it held above that.
+    std::vector<int> out;
+    std::vector<long long> weight;
+    for (std::size_t j = 0; j < counts.size(); ++j) {
+        if (dead[j] != 0) continue;
+        out.push_back(std::min(counts[j], kLogicalMinRows));
+        weight.push_back(counts[j] - out.back());
+    }
+    DYNMPI_REQUIRE(!out.empty(), "every member crashed");
+    long long total = std::accumulate(weight.begin(), weight.end(), 0LL);
+    if (total == 0) {
+        // Every survivor sits at the minimum: spread the rest evenly.
+        std::fill(weight.begin(), weight.end(), 1LL);
+        total = static_cast<long long>(weight.size());
+    }
+    const long long spread =
+        std::accumulate(counts.begin(), counts.end(), 0LL) -
+        std::accumulate(out.begin(), out.end(), 0LL);
+    // Largest remainder in exact integers: floors first, then one more row
+    // for each of the largest remainders (stable, so ties go to the
+    // earlier survivor).
+    std::vector<long long> rem(out.size());
+    long long given = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const long long share = spread * weight[i];
+        out[i] += static_cast<int>(share / total);
+        rem[i] = share % total;
+        given += share / total;
+    }
+    std::vector<std::size_t> order(out.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rem[a] > rem[b];
+                     });
+    for (long long k = 0; k < spread - given; ++k)
+        ++out[order[static_cast<std::size_t>(k)]];
+    return caps.empty() ? out : apply_row_caps(std::move(out), caps);
 }
 
 }  // namespace dynmpi

@@ -1,7 +1,8 @@
 // The §4 adaptation policy: the Monitor → Grace → PostGrace mode as one
-// value, and the decisions ending a grace period (§4.2–4.3) and a post-grace
-// window (§4.4 node removal), as pure functions of collectively agreed
-// inputs; Runtime::end_cycle runs the collectives and applies the results.
+// value, the decisions ending a grace period (§4.2–4.3) and a post-grace
+// window (§4.4 node removal), and the blocks a crash repair rebalances the
+// survivors to, as pure functions of collectively agreed inputs;
+// Runtime::end_cycle runs the collectives and applies the results.
 #pragma once
 
 #include <cstddef>
@@ -82,5 +83,24 @@ struct Decision {
 Decision decide_grace(const RuntimeOptions& opts, const DecisionInputs& in);
 Decision decide_post_grace(const RuntimeOptions& opts,
                            const DecisionInputs& in, double measured_s);
+
+/// Rows each of `members` (world ranks) may hold so its arrays fit its
+/// memory at `row_bytes` per row; 0 = unlimited, and all 0 unless
+/// `opts.memory_aware`.
+std::vector<int> row_caps(const RuntimeOptions& opts,
+                          const std::vector<double>& memories,
+                          std::size_t row_bytes,
+                          const std::vector<int>& members);
+
+/// A crash repair's target: `counts` (blocks in member order) after the
+/// members flagged in `dead` are gone, scaled so the survivors cover every
+/// row and keep their relative shares.  A block at or below
+/// kLogicalMinRows keeps its size; the rest split the remaining rows in
+/// proportion to what they held above it, by largest remainder (ties to
+/// the earlier member).  The result, in survivor order, is clamped to
+/// `caps` (see row_caps; empty = none).
+std::vector<int> survivor_counts(const std::vector<int>& counts,
+                                 const std::vector<char>& dead,
+                                 const std::vector<int>& caps);
 
 }  // namespace dynmpi

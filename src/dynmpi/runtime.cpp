@@ -495,7 +495,8 @@ bool Runtime::repair_active_set() {
     // dead prefix).  No data moves between survivors; adopted rows start
     // zero-filled.  With replication on, a restore job per dead node is
     // queued so the adopter refills them from the buddy's copies; without
-    // it they go to the application via take_recovered_rows().
+    // it they go to the application via take_recovered_rows().  The next
+    // monitoring pass rebalances (rebalance_survivors).
     std::vector<int> old_counts = dist_.counts();
     std::vector<int> new_counts;
     int carry = 0;
@@ -537,6 +538,13 @@ bool Runtime::repair_active_set() {
         }
     }
 
+    // A second crash before the rebalance keeps the first one's blocks, so
+    // the rebalance never scales a left-merged block.
+    if (pre_crash_members_.empty()) {
+        pre_crash_members_ = active_.members();
+        pre_crash_counts_ = old_counts;
+    }
+
     msg::Group new_active(survivors);
     Distribution new_dist = Distribution::block(0, global_rows_, new_counts);
     RowSet adopted =
@@ -573,6 +581,51 @@ bool Runtime::repair_active_set() {
                                       targ("node", d),
                                       targ("rows_adopted", adopted.count())});
     return true;
+}
+
+void Runtime::rebalance_survivors(const msg::Group& pg) {
+    std::vector<int> counts; // stays empty when no redistribution is left
+    if (opts_.max_redistributions < 0 ||
+        stats_.redistributions < opts_.max_redistributions) {
+        std::vector<char> dead;
+        for (int w : pre_crash_members_)
+            dead.push_back(active_.contains(w) ? 0 : 1);
+        counts = survivor_counts(
+            pre_crash_counts_, dead,
+            row_caps(opts_, memories_, agreed_row_bytes(pg),
+                     active_.members()));
+    }
+    if (counts.empty() || counts == dist_.counts()) {
+        pre_crash_members_.clear();
+        pre_crash_counts_.clear();
+        return;
+    }
+    // Zero-filled rows the application has not taken yet move with the
+    // rows: every survivor learns all of them, and each new owner reports
+    // its share through take_recovered_rows().
+    std::vector<int> mine;
+    for (const RowInterval& iv : recovered_rows_.intervals()) {
+        mine.push_back(iv.lo);
+        mine.push_back(iv.hi);
+    }
+    RowSet untaken;
+    for (const std::vector<int>& theirs : msg::allgather(rank_, pg, mine))
+        for (std::size_t k = 0; k + 1 < theirs.size(); k += 2)
+            untaken.add(theirs[k], theirs[k + 1]);
+
+    const Distribution before = dist_;
+    apply_distribution(active_, Distribution::block(0, global_rows_, counts));
+    recovered_rows_ = untaken.intersect(dist_.iters_of(rel_rank()));
+    restart_window();
+    if (support::trace().enabled()) {
+        int moved = 0; // rows that changed owner, cluster-wide
+        for (int j = 0; j < active_.size(); ++j)
+            moved += dist_.iters_of(j).subtract(before.iters_of(j)).count();
+        support::trace().instant(rank_.hrtime(), rank_.id(),
+                                 "runtime.crash_rebalance",
+                                 {targ("cycle", stats_.cycles),
+                                  targ("rows_moved", moved)});
+    }
 }
 
 void Runtime::replica_refresh(bool wholesale, std::uint64_t salt) {
@@ -751,19 +804,20 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
                      "failure recovery did not converge");
         rank_.sync_revocations();
         repaired = repair_active_set() || repaired;
-        // A crash repair changed row ownership mid-grace: measurements
-        // taken against the old distribution no longer align with my_iters,
-        // so restart the grace window for the new ownership.  (Re-applied
-        // after every retry's snapshot restore so all attempts — and all
-        // surviving ranks — see the same state.)
-        if (repaired && mode_.mode == ModeState::Mode::Grace &&
-            participating())
-            restart_grace();
+        // A crash repair changed the membership mid-window: measurements
+        // taken against the old one no longer describe the new, so restart
+        // the open window.  (Re-applied after every retry's snapshot restore
+        // so all attempts — and all surviving ranks — see the same state.)
+        if (repaired) restart_window();
         try {
             if (participating()) {
                 if (rollback_due_) agree_rollback(protocol_group());
                 perform_pending_restores();
                 active_cycle_monitor(rec, wall);
+                // Not in the repair pass: the application rolls back, and
+                // takes the rows it adopted, by the left-merged ownership.
+                if (!repaired && !pre_crash_members_.empty())
+                    rebalance_survivors(protocol_group());
             } else {
                 removed_cycle_follow();
             }
@@ -1034,6 +1088,14 @@ void Runtime::restart_grace() {
         phases_[ph].timer.start(my_iters(static_cast<int>(ph)).count());
 }
 
+void Runtime::restart_window() {
+    if (!participating()) return;
+    if (mode_.mode == ModeState::Mode::Grace)
+        restart_grace();
+    else if (mode_.mode == ModeState::Mode::PostGrace)
+        mode_.enter_post_grace();
+}
+
 void Runtime::apply_distribution(const msg::Group& new_active,
                                  const Distribution& new_dist) {
     // Redistribution moves application data: full CPU + wire cost even when
@@ -1075,6 +1137,10 @@ void Runtime::apply_distribution(const msg::Group& new_active,
         support::metrics().gauge("runtime.active_nodes")
             .set(static_cast<double>(active_.size()));
     }
+    // The rows now spread over the members just installed: a rebalance
+    // still due from a crash repair is void.
+    pre_crash_members_.clear();
+    pre_crash_counts_.clear();
 }
 
 const std::vector<double>& Runtime::gather_row_costs(const msg::Group& pg) {

@@ -211,8 +211,10 @@ public:
 
     // ---- failure recovery ----
 
-    /// Rows this node adopted through crash recovery since the last call
-    /// that could NOT be restored and were zero-filled.  Without
+    /// Rows this node owns that crash recovery could NOT restore and
+    /// zero-filled, not returned by an earlier call.  The rebalance one
+    /// pass after a repair hands rows nobody has taken yet to their new
+    /// owner, which reports them from then on.  Without
     /// replication (options().replicate == false) that is every adopted
     /// row — the runtime is checkpointless and a dead node's in-flight row
     /// contents are lost by design.  With replication on, restoration from
@@ -276,9 +278,16 @@ private:
     /// Drop crashed members from the active set, left-merging their row
     /// blocks into surviving predecessors (zero data movement).  Without
     /// replication, adopted rows are recorded in recovered_rows_; with it,
-    /// restore jobs are queued for perform_pending_restores.  Returns true
-    /// if anything changed.
+    /// restore jobs are queued for perform_pending_restores.  The blocks
+    /// from before the crash are kept for rebalance_survivors.  Returns
+    /// true if anything changed.
     bool repair_active_set();
+
+    /// The monitoring pass after a repair's: spread the rows over the
+    /// survivors in the shares they held before the crash
+    /// (survivor_counts), handing zero-filled rows the application has not
+    /// taken yet to their new owners.
+    void rebalance_survivors(const msg::Group& pg);
 
     /// Protocol round after a repair: survivors agree on the rollback
     /// cycle T, the minimum over every survivor's restartable cycle and
@@ -352,6 +361,9 @@ private:
 
     /// (Re)open the grace window: count from zero, restart per-row timers.
     void restart_grace();
+    /// A membership change voids the open window's measurements: reopen a
+    /// grace window (per-row timers) or a post-grace window (§4.4's mean).
+    void restart_window();
     /// Both sides of an applied grace decision enter post-grace here,
     /// recording a Rejoin for each revived node now active.
     void enter_post_grace();
@@ -406,6 +418,10 @@ private:
     bool rollback_due_ = false;        ///< a repair awaits agree_rollback
     std::optional<int> rollback_;      ///< agreed, not yet taken
     std::uint64_t rollbacks_ = 0;      ///< rollbacks taken (refresh salt)
+    /// The blocks before the first crash since the last redistribution,
+    /// with the members that held them; empty when no rebalance is due.
+    std::vector<int> pre_crash_members_;
+    std::vector<int> pre_crash_counts_;
     /// One queued restoration of a dead node's block from its buddy.
     struct PendingRestore {
         int dead = -1;

@@ -1,10 +1,13 @@
 // Crash anywhere: a small replicated CG solve loses a node at 100 instants
 // that step through two full cycles, 1/50 of a cycle apart, once for an
-// interior node and once for the leader.  Wherever the crash lands — mid-arithmetic, inside the collectives, during the replica
-// refresh or between cycles — the survivors must agree on one rollback cycle
-// and finish with the serial residuals and bitwise-intact matrix rows.
+// interior node and once for the leader.  Wherever the crash lands —
+// mid-arithmetic, inside the collectives, during the replica refresh or
+// between cycles — the survivors must agree on one rollback cycle, finish
+// with the serial residuals and bitwise-intact matrix rows, and end
+// rebalanced: equal-speed survivors within one row of each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -70,6 +73,9 @@ std::string crashed_run(const CgConfig& cc, int node, double t,
     }
     if (!intact) return "matrix rows corrupted";
     if (out.stats.crash_repairs != 1) return "no crash repair";
+    const auto [lo, hi] =
+        std::minmax_element(out.final_counts.begin(), out.final_counts.end());
+    if (*hi - *lo > 1) return "survivors not rebalanced";
     if (out.residual_history.size() != ref.size())
         return "residual history has the wrong length";
     for (std::size_t i = 0; i < ref.size(); ++i)

@@ -1,6 +1,7 @@
 // Table-driven tests of the §4 adaptation policy (dynmpi/adaptation.hpp):
-// the Monitor → Grace → PostGrace mode value and the grace and post-grace
-// decisions, as pure functions with no simulated machine behind them.
+// the Monitor → Grace → PostGrace mode value, the grace and post-grace
+// decisions and a crash repair's target blocks, as pure functions with no
+// simulated machine behind them.
 #include "dynmpi/adaptation.hpp"
 
 #include <gtest/gtest.h>
@@ -361,6 +362,70 @@ TEST(AdaptationPostGraceValue, SingleNodeIsNotEvaluated) {
     const Decision d = decide_post_grace(opts, in, 10.0);
     EXPECT_FALSE(d.removal.has_value());
     EXPECT_FALSE(d.apply);
+}
+
+// ---------------------------------------------------------------------------
+// Crash repair's target (survivor_counts)
+// ---------------------------------------------------------------------------
+
+struct SurvivorRow {
+    const char* name;
+    std::vector<int> counts;
+    std::vector<char> dead;
+    std::vector<int> caps;
+    std::vector<int> expected;
+};
+
+const SurvivorRow kSurvivorRows[] = {
+    // 1017 rows above the minimum over 7 equal weights: 145 each and two
+    // left over, which go to the first two survivors.
+    {"EqualBlocksStayWithinOne", std::vector<int>(8, 128),
+     {0, 0, 0, 0, 0, 1, 0, 0}, {}, {147, 147, 146, 146, 146, 146, 146}},
+    {"HeterogeneousBlocksKeepTheirRatios", {100, 200, 300, 400},
+     {0, 0, 0, 1}, {}, {166, 333, 501}},
+    {"DeadLeader", {100, 100, 100, 100}, {1, 0, 0, 0}, {}, {134, 133, 133}},
+    {"TwoDeadNodes", std::vector<int>(6, 100), {0, 1, 0, 0, 1, 0}, {},
+     {150, 150, 150, 150}},
+    // A logically dropped node holds kLogicalMinRows and keeps it; the two
+    // equal remainders break toward the earlier survivor.
+    {"LogicallyDroppedNodeStaysAtTheMinimum", {1, 133, 133, 133},
+     {0, 0, 0, 1}, {}, {1, 200, 199}},
+    {"EveryBlockAtTheMinimumSpreadsEvenly", {1, 1, 1, 1, 1},
+     {0, 0, 1, 0, 0}, {}, {2, 1, 1, 1}},
+    // Node 0 fits 110 rows: the 24 over its cap spill evenly.
+    {"MemoryCapsClampTheTarget", {100, 100, 100, 100}, {0, 0, 0, 1},
+     {110, 0, 0}, {110, 145, 145}},
+    // 46 rows over four equal weights: 11.5 each, so the two spare rows go
+    // to the first two survivors, every time.
+    {"TiesGoToTheEarlierSurvivor", {10, 10, 10, 10, 10}, {0, 0, 0, 0, 1}, {},
+     {13, 13, 12, 12}},
+};
+
+void PrintTo(const SurvivorRow& r, std::ostream* os) { *os << r.name; }
+
+class AdaptationSurvivors : public ::testing::TestWithParam<SurvivorRow> {};
+
+TEST_P(AdaptationSurvivors, Target) {
+    const SurvivorRow& row = GetParam();
+    const std::vector<int> got = survivor_counts(row.counts, row.dead, row.caps);
+    EXPECT_EQ(got, row.expected);
+    EXPECT_EQ(total(got), total(row.counts)); // every row is covered
+    EXPECT_EQ(got, survivor_counts(row.counts, row.dead, row.caps));
+}
+
+INSTANTIATE_TEST_SUITE_P(SurvivorTable, AdaptationSurvivors,
+                         ::testing::ValuesIn(kSurvivorRows));
+
+TEST(AdaptationSurvivorsValue, RowCapsOnlyWhenMemoryAware) {
+    RuntimeOptions opts;
+    const std::vector<double> memories{50 * 1024, 0, 1e6};
+    EXPECT_EQ(row_caps(opts, memories, 1024, {0, 1, 2}),
+              (std::vector<int>{50, 0, 976}));
+    EXPECT_EQ(row_caps(opts, memories, 1024, {2, 0}),
+              (std::vector<int>{976, 50}));
+    opts.memory_aware = false;
+    EXPECT_EQ(row_caps(opts, memories, 1024, {0, 1, 2}),
+              (std::vector<int>{0, 0, 0}));
 }
 
 TEST(AdaptationPostGraceValue, ThresholdsDiffer) {

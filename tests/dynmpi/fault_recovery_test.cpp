@@ -5,6 +5,8 @@
 // and identical seed + script must give identical runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -27,6 +29,8 @@ struct FaultParams {
     std::string script;
     RuntimeOptions opts;
     int collector = 0; ///< rank that reports the outcome (never crash it)
+    int loaded_node = -1; ///< one competing process from t = 1 s on
+    int take_every = 1;   ///< cycles between take_recovered_rows() calls
 };
 
 struct FaultOutcome {
@@ -47,6 +51,7 @@ struct FaultOutcome {
     double rejoins_max = 0;
     int final_active = 0;
     std::uint64_t replica_bytes = 0;
+    RuntimeStats stats; ///< the collector's
 };
 
 FaultOutcome run_with_faults(const FaultParams& fp) {
@@ -58,6 +63,8 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
     msg::Machine m(cc);
     if (!fp.script.empty())
         m.cluster().install_faults(sim::FaultPlan::parse(fp.script));
+    if (fp.loaded_node >= 0)
+        m.cluster().add_load_interval(fp.loaded_node, 1.0, -1.0);
 
     FaultOutcome out;
     m.run([&](msg::Rank& r) {
@@ -94,6 +101,7 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
             // Rows the runtime could not restore arrive zero-filled; the
             // application regenerates them (checkpointless recovery).  With
             // replication on this only fires for double-crash losses.
+            if ((c + 1) % fp.take_every != 0 && c + 1 != fp.cycles) continue;
             RowSet lost = rt.take_recovered_rows();
             recovered += lost.count();
             fill(lost.to_vector());
@@ -133,6 +141,7 @@ FaultOutcome run_with_faults(const FaultParams& fp) {
             out.rejoins_max = rejoins;
             out.final_active = rt.num_active();
             out.replica_bytes = rt.stats().replica_bytes;
+            out.stats = rt.stats();
         } else if (!ok) {
             throw Error("data corrupted on rank " + std::to_string(r.id()));
         }
@@ -190,6 +199,175 @@ TEST(FaultRecovery, LeaderCrash) {
     FaultOutcome out = run_with_faults(fp);
     EXPECT_TRUE(out.data_ok);
     EXPECT_GE(out.crash_repairs, 1);
+    EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
+int spread(const std::vector<int>& counts) {
+    const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
+    return *hi - *lo;
+}
+
+/// The cycle whose monitoring pass repaired the (single) crash.
+int crash_cycle(const FaultOutcome& out) {
+    for (const AdaptationEvent& e : out.stats.events)
+        if (e.kind == AdaptationEvent::Kind::NodeCrash) return e.cycle;
+    return -1;
+}
+
+// A repair left-merges the dead block into one survivor; one monitoring
+// pass later the survivors are rebalanced to their pre-crash shares, so
+// equal-speed survivors end within one row of each other.
+TEST(FaultRecovery, CrashRepairRebalancesSurvivors) {
+    for (bool replicate : {false, true}) {
+        SCOPED_TRACE(replicate ? "replication on" : "replication off");
+        FaultParams fp;
+        fp.nodes = 8;
+        fp.rows = 96;
+        fp.cycles = 60;
+        fp.script = "crash node=5 t=1.5\n";
+        fp.opts.replicate = replicate;
+        FaultOutcome out = run_with_faults(fp);
+        EXPECT_TRUE(out.data_ok);
+        EXPECT_EQ(out.crash_repairs, 1);
+        ASSERT_EQ(out.final_counts.size(), 7u);
+        EXPECT_EQ(std::accumulate(out.final_counts.begin(),
+                                  out.final_counts.end(), 0),
+                  fp.rows);
+        EXPECT_LE(spread(out.final_counts), 1)
+            << ::testing::PrintToString(out.final_counts);
+        EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+        // The rebalance ran in the pass after the repair's, not in it.
+        const int c = crash_cycle(out);
+        ASSERT_GE(c, 0);
+        const auto& h = out.stats.history;
+        ASSERT_GT(h.size(), static_cast<std::size_t>(c + 1));
+        EXPECT_FALSE(h[static_cast<std::size_t>(c)].redistributed);
+        EXPECT_TRUE(h[static_cast<std::size_t>(c + 1)].redistributed);
+    }
+}
+
+// The rebalance is a redistribution like any other: with none allowed, the
+// left-merged blocks stay.
+TEST(FaultRecovery, CrashRebalanceHonoursMaxRedistributions) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 60;
+    fp.script = "crash node=5 t=1.5\n";
+    fp.opts.max_redistributions = 0;
+    FaultOutcome out = run_with_faults(fp);
+    EXPECT_TRUE(out.data_ok);
+    EXPECT_EQ(out.stats.redistributions, 0);
+    EXPECT_EQ(out.final_counts, (std::vector<int>{12, 12, 12, 12, 24, 12, 12}));
+    EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
+// A second crash lands before the first one's rebalance ran: the rebalance
+// scales the blocks from before the first crash, not node 2's left-merged
+// double block, over the six survivors.
+TEST(FaultRecovery, SecondCrashBeforeTheRebalance) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 60;
+    fp.script =
+        "crash node=3 t=1.5\n"
+        "crash node=5 t=1.55\n";
+    FaultOutcome out = run_with_faults(fp);
+    std::vector<int> repairs;
+    for (const AdaptationEvent& e : out.stats.events)
+        if (e.kind == AdaptationEvent::Kind::NodeCrash)
+            repairs.push_back(e.cycle);
+    ASSERT_EQ(repairs.size(), 2u);
+    ASSERT_EQ(repairs[1], repairs[0] + 1); // no pass in between
+    EXPECT_TRUE(out.data_ok);
+    ASSERT_EQ(out.final_counts.size(), 6u);
+    EXPECT_EQ(out.final_counts, (std::vector<int>{16, 16, 16, 16, 16, 16}));
+    EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+}
+
+// The crash lands while a grace period is measuring: the repair and then
+// the rebalance each restart the window, so the per-row measurements always
+// match the ownership they are taken under.
+TEST(FaultRecovery, CrashRebalanceInsideGraceWindow) {
+    for (bool replicate : {false, true}) {
+        SCOPED_TRACE(replicate ? "replication on" : "replication off");
+        FaultParams fp;
+        fp.nodes = 8;
+        fp.rows = 96;
+        fp.cycles = 80;
+        fp.loaded_node = 2;
+        fp.opts.grace_cycles = 20;
+        fp.opts.replicate = replicate;
+        fp.script = "crash node=5 t=1.8\n";
+        FaultOutcome out = run_with_faults(fp);
+        EXPECT_TRUE(out.data_ok);
+        EXPECT_EQ(std::accumulate(out.final_counts.begin(),
+                                  out.final_counts.end(), 0),
+                  fp.rows);
+        EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
+        const int c = crash_cycle(out);
+        ASSERT_GE(c, 0);
+        const auto& h = out.stats.history;
+        ASSERT_GT(h.size(), static_cast<std::size_t>(c + 1));
+        EXPECT_EQ(h[static_cast<std::size_t>(c)].mode, 1); // in grace
+        EXPECT_TRUE(h[static_cast<std::size_t>(c + 1)].redistributed);
+    }
+}
+
+// §4.4's window mean must describe one membership: a crash inside a
+// post-grace window restarts it, so the removal decision comes at least
+// kPostGraceCycles cycles after the repair.
+TEST(FaultRecovery, CrashRestartsThePostGraceWindow) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 90;
+    fp.loaded_node = 2;
+    fp.opts.grace_cycles = 3;
+    // Where the fault-free run's first post-grace window is.
+    const FaultOutcome ref = run_with_faults(fp);
+    const auto& rh = ref.stats.history;
+    const auto first_post =
+        std::find_if(rh.begin(), rh.end(),
+                     [](const CycleRecord& r) { return r.mode == 2; });
+    ASSERT_NE(first_post, rh.end());
+    const CycleRecord& mid = *(first_post + kPostGraceCycles / 2);
+    ASSERT_EQ(mid.mode, 2);
+
+    char script[64];
+    std::snprintf(script, sizeof script, "crash node=5 t=%.9f\n",
+                  mid.start_s + 1e-3);
+    fp.script = script;
+    const FaultOutcome out = run_with_faults(fp);
+    EXPECT_TRUE(out.data_ok);
+    const int c = crash_cycle(out);
+    ASSERT_EQ(c, mid.cycle);
+    const auto& h = out.stats.history;
+    auto k = static_cast<std::size_t>(c);
+    while (k < h.size() && h[k].mode == 2) ++k;
+    ASSERT_LT(k, h.size()) << "the post-grace window never closed";
+    EXPECT_GE(static_cast<int>(k) - 1 - c, kPostGraceCycles);
+}
+
+// Without replication the adopter's rows come back zero-filled.  A caller
+// that takes them only after the rebalance still gets every one of them,
+// each from the node that owns it after the rebalance.
+TEST(FaultRecovery, RecoveredRowsFollowTheRebalance) {
+    FaultParams fp;
+    fp.nodes = 8;
+    fp.rows = 96;
+    fp.cycles = 60;
+    fp.script = "crash node=5 t=1.5\n";
+    fp.take_every = 25;
+    FaultOutcome out = run_with_faults(fp);
+    const int c = crash_cycle(out);
+    ASSERT_GE(c, 0);
+    // No take between the repair and the rebalance.
+    ASSERT_LT((c % fp.take_every) + 1, fp.take_every - 1);
+    EXPECT_TRUE(out.data_ok);
+    EXPECT_DOUBLE_EQ(out.recovered_sum, fp.rows / fp.nodes); // node 5's block
+    EXPECT_LE(spread(out.final_counts), 1);
     EXPECT_NEAR(out.checksum, expected_checksum(fp.rows), 1e-6);
 }
 

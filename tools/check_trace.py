@@ -46,6 +46,7 @@ KNOWN_EVENTS = {
     "runtime.node_crash": {"cycle", "detail"},
     "runtime.crash_repair": {"cycle", "node", "rows_adopted"},
     "runtime.rollback_agreed": {"cycle", "restart_cycle"},
+    "runtime.crash_rebalance": {"cycle", "rows_moved"},
     "runtime.replica_refresh": {"cycle", "wholesale", "rows", "bytes"},
     "runtime.replica_restore": {"cycle", "node", "buddy", "restored", "lost"},
     "runtime.rejoin": {"cycle", "detail"},
