@@ -52,21 +52,15 @@ RowPayload DenseArray::pack_rows(const RowSet& rows) const {
 }
 
 void DenseArray::unpack_rows(const RowPayload& rows) {
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-        const int row = rows.row_id(k);
-        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        DYNMPI_REQUIRE(rows.body(k).size() == row_bytes(),
-                       "dense row size mismatch");
-    }
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-        const int row = rows.row_id(k);
-        // Adopt the body; row_data copies it before a write while the
-        // sender still shares it.
-        rows_[row] = rows.body(k);
-        held_.add(row, row + 1);
-        mark_row_dirty(row);
-    }
+    check_row_ids(rows);
+    for (const sim::SharedBytes& body : rows.bodies())
+        DYNMPI_REQUIRE(body.size() == row_bytes(), "dense row size mismatch");
+    // Adopt the bodies; row_data copies one before a write while the
+    // sender still shares it.
+    for (std::size_t k = 0; k < rows.size(); ++k)
+        rows_[rows.row_id(k)] = rows.body(k);
+    held_.add(rows.rows());
+    mark_rows_dirty(rows.rows());
     stats_.bytes_unpacked += rows.wire_size();
 }
 
@@ -168,30 +162,24 @@ RowPayload ContiguousDenseArray::pack_rows(const RowSet& rows) const {
 }
 
 void ContiguousDenseArray::unpack_rows(const RowPayload& rows) {
-    // First pass: check every row and find the new extent.
-    RowSet incoming;
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-        const int row = rows.row_id(k);
-        DYNMPI_REQUIRE(row >= 0 && row < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        DYNMPI_REQUIRE(rows.body(k).size() == row_bytes(),
-                       "dense row size mismatch");
-        incoming.add(row, row + 1);
-    }
+    // Check every row first, then grow the extent once.
+    check_row_ids(rows);
+    for (const sim::SharedBytes& body : rows.bodies())
+        DYNMPI_REQUIRE(body.size() == row_bytes(), "dense row size mismatch");
+    const RowSet& incoming = rows.rows();
     if (!incoming.empty()) {
         int lo = extent_ == 0 ? incoming.first() : std::min(base_, incoming.first());
         int hi = extent_ == 0 ? incoming.last() + 1
                               : std::max(base_ + extent_, incoming.last() + 1);
         reextent(lo, hi);
     }
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-        const int row = rows.row_id(k);
-        held_.add(row, row + 1);
-        mark_row_dirty(row);
+    for (std::size_t k = 0; k < rows.size(); ++k)
         std::memcpy(buffer_.data() +
-                        static_cast<std::size_t>(row - base_) * row_bytes(),
+                        static_cast<std::size_t>(rows.row_id(k) - base_) *
+                            row_bytes(),
                     rows.body(k).data(), row_bytes());
-    }
+    held_.add(incoming);
+    mark_rows_dirty(incoming);
     stats_.bytes_unpacked += rows.wire_size();
 }
 

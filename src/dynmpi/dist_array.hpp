@@ -22,44 +22,64 @@ namespace dynmpi {
 /// refreshes and crash restores.
 ///
 /// A payload is a header (written and read with support/wire.hpp) plus one
-/// body per row:
-///   header: u32 nrows, then per row: u32 row_id, u64 nbytes
-///   bodies: nrows buffers, body k holding row k's nbytes
+/// body per row, rows in ascending order:
+///   header: u8  format version (kFormatVersion)
+///           u32 run count, then per run: u32 lo, u32 count — the row ids
+///               as runs [lo, lo + count), ascending, disjoint, non-empty
+///           u8  size form, then
+///               kOneRowSize:  one u64, every row's size (fixed-size rows)
+///               kPerRowSizes: one u64 per row, in row order
+///   bodies: one buffer per row, body k holding row k's bytes
 /// On the simulated wire the header is the packet's inline payload and the
 /// bodies are its segments, so a body crosses by reference with no copy.
-/// wire_size() is 4 + sum over rows of (12 + nbytes).
+/// A block of dense rows costs one run and one size however many rows it
+/// holds, so wire_size() is the header (6 + 8 * runs, plus 8 or 8 * rows)
+/// plus the bodies.
 class RowPayload {
 public:
-    static constexpr std::size_t kRowHeaderBytes = 12; ///< u32 id + u64 size
+    static constexpr std::uint8_t kFormatVersion = 1;
+    static constexpr std::uint8_t kOneRowSize = 0;
+    static constexpr std::uint8_t kPerRowSizes = 1;
 
     /// An empty payload (zero rows), with room reserved for `rows` rows.
     explicit RowPayload(std::size_t rows = 0);
 
-    /// Adopt a received header and its bodies.  Rejects a header whose
-    /// length does not match its row count, a body count that differs from
-    /// the row count, a missing body, and a body whose size differs from
-    /// its header entry.  Row ids are the receiving array's to check.
-    RowPayload(std::vector<std::byte> header,
+    /// Adopt a received header and its bodies.  Rejects an unknown version,
+    /// a run count the header cannot hold, an empty, overlapping or
+    /// descending run, a run past the largest int row id, a row total that
+    /// differs from the body count, an unknown size form, a missing body, a
+    /// body whose size differs from its header and trailing header bytes.
+    /// Row ids are the receiving array's to range-check.
+    RowPayload(const std::vector<std::byte>& header,
                std::vector<sim::SharedBytes> bodies);
 
-    /// Append a row whose body is shared by reference.
+    /// Append a row whose body is shared by reference; rows must be added
+    /// in ascending order.
     void add(int row, sim::SharedBytes body);
     /// Append a row with a fresh `nbytes` body the caller fills through the
     /// returned pointer.
     std::byte* add_owned(int row, std::size_t nbytes);
 
     std::size_t size() const { return bodies_.size(); }
+    /// Id of row k; O(log runs).
     int row_id(std::size_t k) const;
     const sim::SharedBytes& body(std::size_t k) const { return bodies_[k]; }
-    /// Row ids carried, as a set.
-    RowSet rows() const;
+    /// Row ids carried, as a set (its intervals are the runs).
+    const RowSet& rows() const { return rows_; }
 
-    const std::vector<std::byte>& header() const { return header_; }
+    /// The encoded header, as send_rows puts it on the wire.
+    std::vector<std::byte> header() const;
+    std::size_t header_size() const;
     const std::vector<sim::SharedBytes>& bodies() const { return bodies_; }
     std::size_t wire_size() const;
 
 private:
-    std::vector<std::byte> header_;
+    /// True when every row has the same size (and there is a row).
+    bool one_row_size() const;
+
+    RowSet rows_;
+    /// Per run of rows_: the body index one past its last row.
+    std::vector<std::size_t> run_end_;
     std::vector<sim::SharedBytes> bodies_;
 };
 
@@ -132,6 +152,9 @@ public:
     const Stats& stats() const { return stats_; }
 
 protected:
+    /// Reject a payload carrying a row id outside [0, global_rows()).
+    void check_row_ids(const RowPayload& rows) const;
+
     std::string name_;
     int global_rows_;
     RowSet held_;

@@ -8,7 +8,7 @@ namespace dynmpi {
 std::vector<std::byte> FollowerMessage::encode() const {
     std::vector<std::byte> out;
     wire::Writer w(out);
-    w.u8(static_cast<std::uint8_t>(kind)).ints(active);
+    w.u8(kFormatVersion).u8(static_cast<std::uint8_t>(kind)).ints(active);
     if (kind == Kind::Steady) return out;
     w.u64(redist_seq).doubles(baseline_loads).ints(quarantined);
     if (kind == Kind::Readd) {
@@ -26,6 +26,8 @@ std::vector<std::byte> FollowerMessage::encode() const {
 FollowerMessage FollowerMessage::decode(const std::vector<std::byte>& bytes) {
     wire::Reader in(bytes);
     FollowerMessage m;
+    DYNMPI_REQUIRE(in.u8() == kFormatVersion,
+                   "unknown follower message format version");
     const std::uint8_t kind = in.u8();
     DYNMPI_REQUIRE(kind <= static_cast<std::uint8_t>(Kind::Bootstrap),
                    "unknown follower message kind");

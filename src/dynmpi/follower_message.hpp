@@ -2,8 +2,9 @@
 // (relative rank 0 of the active set), encoded with support/wire.hpp.
 //
 // A removed node reads one per cycle on the status channel; a revived node
-// reads a Bootstrap before it follows that channel.  A leading kind byte
-// selects the sections after the active members:
+// reads a Bootstrap before it follows that channel.  A format version byte
+// (kFormatVersion) leads; the kind byte after it selects the sections after
+// the active members:
 //   Steady:    nothing more
 //   Readd:     the follower state, then the redistribution that brings the
 //              node back (old counts, new members and counts, row costs)
@@ -23,6 +24,7 @@
 namespace dynmpi {
 
 struct FollowerMessage {
+    static constexpr std::uint8_t kFormatVersion = 1;
     enum class Kind : std::uint8_t { Steady, Readd, Bootstrap };
     Kind kind = Kind::Steady;
     std::vector<int> active;
@@ -44,7 +46,8 @@ struct FollowerMessage {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> group_seqs;
 
     std::vector<std::byte> encode() const;
-    /// Rejects an unknown kind byte, a short read and trailing bytes.
+    /// Rejects an unknown version or kind byte, a short read and trailing
+    /// bytes.
     static FollowerMessage decode(const std::vector<std::byte>& bytes);
 };
 

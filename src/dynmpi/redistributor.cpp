@@ -131,8 +131,8 @@ std::uint64_t redist_tag(std::uint64_t seq, std::size_t array_idx, int src,
 
 void send_rows(msg::Rank& rank, int dst, std::uint64_t wire_tag,
                const RowPayload& rows) {
-    rank.send_wire(dst, wire_tag, rows.header().data(), rows.header().size(),
-                   rows.bodies());
+    const std::vector<std::byte> header = rows.header();
+    rank.send_wire(dst, wire_tag, header.data(), header.size(), rows.bodies());
 }
 
 RowPayload recv_rows(msg::Rank& rank, int src, std::uint64_t wire_tag) {

@@ -38,7 +38,6 @@ void ReplicaStore::rollback(int version) {
 RowSet ReplicaStore::store(std::size_t array_idx, const RowPayload& rows) {
     DYNMPI_REQUIRE(array_idx < rows_.size(), "replica store: bad array");
     auto& store = rows_[array_idx];
-    RowSet stored;
     for (std::size_t k = 0; k < rows.size(); ++k) {
         const int row = rows.row_id(k);
         const sim::SharedBytes& body = rows.body(k);
@@ -49,9 +48,8 @@ RowSet ReplicaStore::store(std::size_t array_idx, const RowPayload& rows) {
         if (body.size() > 0)
             std::memcpy(slot.data(), body.data(), body.size());
         bytes_ += slot.size();
-        stored.add(row, row + 1);
     }
-    return stored;
+    return rows.rows();
 }
 
 // dynmpi-lint: repair-critical

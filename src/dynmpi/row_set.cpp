@@ -35,6 +35,17 @@ void RowSet::add(int lo, int hi) {
     normalize();
 }
 
+void RowSet::append(int lo, int hi) {
+    DYNMPI_REQUIRE(lo <= hi, "interval must have lo <= hi");
+    if (lo == hi) return;
+    DYNMPI_REQUIRE(intervals_.empty() || lo >= intervals_.back().hi,
+                   "append before the end of the set");
+    if (!intervals_.empty() && lo == intervals_.back().hi)
+        intervals_.back().hi = hi;
+    else
+        intervals_.push_back({lo, hi});
+}
+
 void RowSet::add(const RowSet& other) {
     intervals_.insert(intervals_.end(), other.intervals_.begin(),
                       other.intervals_.end());

@@ -31,6 +31,10 @@ public:
 
     void add(int lo, int hi);
     void add(const RowSet& other);
+    /// Add [lo, hi) past the end of the set (lo >= last() + 1), coalescing
+    /// with the last interval when adjacent: O(1), for building a set in
+    /// ascending order.
+    void append(int lo, int hi);
 
     RowSet intersect(const RowSet& other) const;
     RowSet subtract(const RowSet& other) const;

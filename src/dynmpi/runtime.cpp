@@ -798,6 +798,7 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
     // cycle's protocol from the same starting point.
     const ModeState snap_mode = mode_;
     const auto snap_redist = redist_seq_;
+    const int redist_before = stats_.redistributions;
     bool repaired = false;
     for (int attempt = 0;; ++attempt) {
         DYNMPI_CHECK(attempt <= 2 * world_.size() + 4,
@@ -818,6 +819,14 @@ void Runtime::run_monitoring(CycleRecord& rec, double wall) {
                 // takes the rows it adopted, by the left-merged ownership.
                 if (!repaired && !pre_crash_members_.empty())
                     rebalance_survivors(protocol_group());
+                // A pass that redistributed has re-shipped every owned row
+                // wholesale; any other ships the cycle's dirty rows.
+                if (opts_.replicate && !replica_skip_cycle_ &&
+                    stats_.redistributions == redist_before) {
+                    auto salt = static_cast<std::uint64_t>(stats_.cycles);
+                    if (rollbacks_ > 0) salt = hash_combine(salt, rollbacks_);
+                    replica_refresh(/*wholesale=*/false, salt);
+                }
             } else {
                 removed_cycle_follow();
             }
@@ -1324,11 +1333,6 @@ void Runtime::active_cycle_monitor(CycleRecord& rec, double wall) {
     agg = msg::allreduce(rank_, pg, std::move(agg), msg::OpMax{});
     rec.max_wall_s = agg[1];
     bool load_changed = agg[0] > kLoadChangeEps;
-    if (opts_.replicate && !replica_skip_cycle_) {
-        auto salt = static_cast<std::uint64_t>(stats_.cycles);
-        if (rollbacks_ > 0) salt = hash_combine(salt, rollbacks_);
-        replica_refresh(/*wholesale=*/false, salt);
-    }
 
     bool may_adapt = opts_.max_redistributions < 0 ||
                      stats_.redistributions < opts_.max_redistributions;

@@ -153,11 +153,8 @@ RowPayload SparseMatrix::pack_rows(const RowSet& rows) const {
 }
 
 void SparseMatrix::unpack_rows(const RowPayload& rows) {
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-        const int r = rows.row_id(k);
-        DYNMPI_REQUIRE(r >= 0 && r < global_rows_,
-                       "unpacked row id out of range for " + name_);
-        const sim::SharedBytes& body = rows.body(k);
+    check_row_ids(rows);
+    for (const sim::SharedBytes& body : rows.bodies()) {
         DYNMPI_REQUIRE(body.size() % sizeof(SparseEntry) == 0,
                        "sparse row payload not a whole number of entries");
         int prev = -1;
@@ -183,9 +180,9 @@ void SparseMatrix::unpack_rows(const RowPayload& rows) {
             std::memcpy(&e, body.data() + off, sizeof(SparseEntry));
             it->second.push_back(e); // column order, checked above
         }
-        held_.add(r, r + 1);
-        mark_row_dirty(r);
     }
+    held_.add(rows.rows());
+    mark_rows_dirty(rows.rows());
     stats_.bytes_unpacked += rows.wire_size();
 }
 

@@ -1,5 +1,6 @@
 // The one fixed-width byte codec for everything the runtime puts on the
-// wire: the row header of RowPayload and the follower message.
+// wire: the row header of RowPayload and the follower message.  Each of
+// those formats starts with a u8 format version its reader checks.
 //
 // Fields are stored in host byte order (the simulated cluster is one
 // process) with no padding: u8, u32, u64, f64, and vectors of int (i32

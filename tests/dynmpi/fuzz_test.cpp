@@ -17,6 +17,7 @@
 #include "mpisim/machine.hpp"
 #include "mpisim/rank.hpp"
 #include "support/rng.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
@@ -29,10 +30,13 @@ RowPayload packed_dense() {
     return a.pack_rows(RowSet(0, 4));
 }
 
+/// Row r holds r + 1 entries, so the header carries one size per row.
 RowPayload packed_sparse() {
     SparseMatrix m("S", 8, 16);
     m.ensure_rows(RowSet(0, 4));
-    for (int r = 0; r < 4; ++r) m.set(r, (r * 3) % 16, 1.5 * r);
+    for (int r = 0; r < 4; ++r)
+        for (int j = 0; j <= r; ++j)
+            m.set(r, (r * 3 + j * 5) % 16, 1.5 * r + j);
     return m.pack_rows(RowSet(0, 4));
 }
 
@@ -63,10 +67,9 @@ void receive(DistArray& dst, std::vector<std::byte> header,
 
 TEST(Fuzz, TruncatedDenseBufferRejected) {
     const RowPayload good = packed_dense();
-    const auto& header = good.header();
-    // A header cut short, with every body still attached.
-    for (std::size_t cut : {0u, 2u, 5u, 17u, 40u}) {
-        ASSERT_LT(cut, header.size());
+    const std::vector<std::byte> header = good.header();
+    // A header cut short anywhere, with every body still attached.
+    for (std::size_t cut = 0; cut < header.size(); ++cut) {
         std::vector<std::byte> bad(header.begin(),
                                    header.begin() + (std::ptrdiff_t)cut);
         DenseArray dst("A", 8, 4, sizeof(double));
@@ -89,14 +92,14 @@ TEST(Fuzz, TruncatedDenseBufferRejected) {
 
 TEST(Fuzz, TruncatedSparseBufferRejected) {
     const RowPayload good = packed_sparse();
-    const auto& header = good.header();
-    for (std::size_t frac : {1u, 3u, 7u}) {
-        std::vector<std::byte> bad(
-            header.begin(),
-            header.begin() + (std::ptrdiff_t)(header.size() * frac / 8));
+    const std::vector<std::byte> header = good.header();
+    ASSERT_EQ(header.size(), 6u + 8u + 4u * 8u); // one run, per-row sizes
+    for (std::size_t cut = 0; cut < header.size(); ++cut) {
+        std::vector<std::byte> bad(header.begin(),
+                                   header.begin() + (std::ptrdiff_t)cut);
         SparseMatrix dst("S", 8, 16);
         EXPECT_THROW(receive(dst, bad, copy_bodies(good)), Error)
-            << "frac=" << frac;
+            << "cut=" << cut;
     }
     for (std::size_t k = 0; k < good.size(); ++k) {
         const std::size_t n = good.body(k).size();
@@ -120,17 +123,69 @@ TEST(Fuzz, WrongRowSizeRejected) {
 TEST(Fuzz, SparsePayloadNotEntireEntriesRejected) {
     const RowPayload good = packed_sparse();
     // A consistently framed row of 13 bytes: header and body agree, so the
-    // framing accepts it, but 13 is not a whole number of entries.
-    // Header layout: u32 nrows, then per row u32 row_id, u64 nbytes.
+    // framing accepts it, but 13 is not a whole number of entries.  The
+    // header ends with one u64 size per row; row 0's is the first of them.
     std::vector<std::byte> header = good.header();
     const std::uint64_t bogus = 13;
-    std::memcpy(header.data() + 8, &bogus, sizeof bogus);
+    std::memcpy(header.data() + header.size() - 8 * good.size(), &bogus,
+                sizeof bogus);
     auto bodies = copy_bodies(good);
     bodies[0] = resized(bodies[0], bogus);
     RowPayload framed(std::move(header), std::move(bodies));
     SparseMatrix dst("S", 8, 16);
     EXPECT_THROW(dst.unpack_rows(framed), Error);
     EXPECT_TRUE(dst.held().empty());
+}
+
+TEST(Fuzz, RandomRunTablesRejectedOrConsistent) {
+    // Headers with a valid version and random runs, size form and sizes,
+    // over random bodies: each is rejected, or the receiver holds exactly
+    // the rows the runs name.
+    Rng rng(4242);
+    const std::uint64_t sizes[] = {0, 8, 13, 16, 32};
+    int accepted = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::vector<std::byte> header;
+        wire::Writer w(header);
+        const std::uint32_t runs = rng.next_below(4);
+        w.u8(RowPayload::kFormatVersion).u32(runs);
+        RowSet named;
+        std::uint32_t rows = 0, lo = 0;
+        for (std::uint32_t i = 0; i < runs; ++i) {
+            lo += rng.next_below(3);
+            const std::uint32_t count = rng.next_below(3);
+            w.u32(lo).u32(count);
+            if (count > 0) named.add(static_cast<int>(lo),
+                                     static_cast<int>(lo + count));
+            rows += count;
+            lo += rng.next_below(2) == 0 ? count : 0;
+        }
+        const bool per_row = rng.next_below(2) == 0;
+        w.u8(per_row ? RowPayload::kPerRowSizes : RowPayload::kOneRowSize);
+        std::vector<sim::SharedBytes> bodies(rows + rng.next_below(2));
+        const std::uint64_t fixed = sizes[rng.next_below(5)];
+        if (!per_row) w.u64(fixed);
+        for (auto& b : bodies) {
+            const std::uint64_t n =
+                rng.next_below(4) == 0 ? sizes[rng.next_below(5)] : fixed;
+            if (per_row) w.u64(n);
+            b = sim::SharedBytes::allocate(n, true);
+        }
+        DenseArray d("A", 16, 4, sizeof(double)); // 32-byte rows
+        SparseMatrix s("S", 16, 16);
+        for (DistArray* dst : {static_cast<DistArray*>(&d),
+                               static_cast<DistArray*>(&s)}) {
+            try {
+                receive(*dst, header, bodies);
+            } catch (const Error&) {
+                EXPECT_TRUE(dst->held().empty()) << "trial " << trial;
+                continue;
+            }
+            ++accepted;
+            EXPECT_EQ(dst->held(), named) << "trial " << trial;
+        }
+    }
+    EXPECT_GT(accepted, 0); // the generator also makes valid payloads
 }
 
 TEST(Fuzz, RandomBuffersNeverCrash) {
@@ -146,6 +201,9 @@ TEST(Fuzz, RandomBuffersNeverCrash) {
         std::vector<std::byte> header(rng.next_below(96));
         for (auto& b : header)
             b = static_cast<std::byte>(rng.next_below(256));
+        // Mostly past the version check, so the junk reaches the runs.
+        if (!header.empty() && rng.next_below(4) != 0)
+            header[0] = std::byte{RowPayload::kFormatVersion};
         std::vector<sim::SharedBytes> bodies(rng.next_below(5));
         for (auto& b : bodies) b = junk(rng.next_below(48));
         DenseArray d("A", 8, 4, sizeof(double));

@@ -318,7 +318,7 @@ TEST(RedistExec, IdentityRedistributionRefreshesGhostsOnly) {
 TEST(RedistExec, DropAdoptsDenseRowsWithoutAllocating) {
     // Node 2 drops out: its rows go to node 1, which passes its low rows to
     // node 0.  Receivers adopt the shipped bodies instead of allocating
-    // their own, while the bytes on the wire stay those of the flat format.
+    // their own; each message's header is one run and one row size.
     constexpr int kRows = 30;
     constexpr int kElems = 8;
     constexpr std::uint64_t kRowBytes = kElems * sizeof(double);
@@ -359,9 +359,10 @@ TEST(RedistExec, DropAdoptsDenseRowsWithoutAllocating) {
     // One message each from node 1 (5 rows) and node 2 (10 rows).
     EXPECT_EQ(stats[0].messages, 0u);
     EXPECT_EQ(stats[1].messages, 1u);
-    EXPECT_EQ(stats[1].bytes, 4 + 5 * (12 + kRowBytes));
+    constexpr std::uint64_t kHeader = 1 + 4 + 8 + 1 + 8;
+    EXPECT_EQ(stats[1].bytes, kHeader + 5 * kRowBytes);
     EXPECT_EQ(stats[2].messages, 1u);
-    EXPECT_EQ(stats[2].bytes, 4 + 10 * (12 + kRowBytes));
+    EXPECT_EQ(stats[2].bytes, kHeader + 10 * kRowBytes);
     EXPECT_EQ(m.traffic().bytes[static_cast<std::size_t>(
                   msg::TagSpace::Runtime)],
               stats[1].bytes + stats[2].bytes);

@@ -37,6 +37,22 @@ TEST(RowSet, AddCoalescesAdjacent) {
     EXPECT_EQ(s.intervals()[0], (RowInterval{0, 6}));
 }
 
+TEST(RowSet, AppendCoalescesAndRejectsOutOfOrder) {
+    RowSet s;
+    s.append(2, 4);
+    s.append(4, 5);
+    s.append(7, 7); // empty: no-op
+    s.append(8, 9);
+    EXPECT_EQ(s.intervals(),
+              (std::vector<RowInterval>{{2, 5}, {8, 9}}));
+    EXPECT_THROW(s.append(8, 10), Error);
+    EXPECT_THROW(s.append(0, 1), Error);
+    RowSet added;
+    added.add(2, 5);
+    added.add(8, 9);
+    EXPECT_EQ(s, added);
+}
+
 TEST(RowSet, AddMergesOverlap) {
     RowSet s;
     s.add(0, 5);

@@ -9,24 +9,13 @@
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/wire.hpp"
 
 namespace dynmpi {
 namespace {
 
 SparseMatrix make(int rows = 10, int cols = 10) {
     return SparseMatrix("S", rows, cols);
-}
-
-void put32(std::vector<std::byte>& out, std::uint32_t v) {
-    std::byte b[4];
-    std::memcpy(b, &v, 4);
-    out.insert(out.end(), b, b + 4);
-}
-
-void put64(std::vector<std::byte>& out, std::uint64_t v) {
-    std::byte b[8];
-    std::memcpy(b, &v, 8);
-    out.insert(out.end(), b, b + 8);
 }
 
 TEST(SparseMatrix, SetAndGet) {
@@ -127,15 +116,17 @@ TEST(SparseMatrix, UnpackRejectsRowBeyondGlobalRows) {
 }
 
 TEST(SparseMatrix, UnpackRejectsNegativeRowId) {
-    // A row id whose u32 wire encoding decodes to a negative int.
+    // A row id whose u32 wire encoding decodes to a negative int: the
+    // framing rejects it before any array sees it.
     std::vector<std::byte> header;
-    put32(header, 1);           // nrows
-    put32(header, 0xFFFFFFFFu); // row id -1
-    put64(header, 0);           // empty body
-    const RowPayload bad(std::move(header), std::vector<sim::SharedBytes>(1));
-    auto dst = make();
-    EXPECT_THROW(dst.unpack_rows(bad), Error);
-    EXPECT_TRUE(dst.held().empty());
+    wire::Writer(header)
+        .u8(RowPayload::kFormatVersion)
+        .u32(1)           // one run
+        .u32(0xFFFFFFFFu) // lo: row id -1
+        .u32(1)           // count
+        .u8(RowPayload::kPerRowSizes)
+        .u64(0); // empty body
+    EXPECT_THROW(RowPayload(header, std::vector<sim::SharedBytes>(1)), Error);
 }
 
 TEST(SparseMatrix, UnpackRejectsBadColumnIds) {

@@ -27,7 +27,7 @@ sim::ClusterConfig cfg(int nodes) {
 /// One scripted scenario: 4 nodes, a competing process lands on node 1 at
 /// t = 0.5 s and stays.  Returns the JSONL trace; the registries are left
 /// enabled for the caller to inspect and must be cleaned up via Observed.
-std::string run_traced(int cycles) {
+std::string run_traced(int cycles, bool replicate = false) {
     support::trace().enable();
     support::metrics().reset();
     support::metrics().enable();
@@ -38,6 +38,7 @@ std::string run_traced(int cycles) {
         RuntimeOptions o;
         o.calibrate = false;
         o.enable_removal = false;
+        o.replicate = replicate;
         Runtime rt(r, 48, o);
         rt.register_dense("A", 4, sizeof(double));
         int ph = rt.init_phase(0, 48, PhaseComm{CommPattern::None, 0});
@@ -114,6 +115,44 @@ TEST(TraceRuntime, AdaptationStoryInOrder) {
         if (e.name == "runtime.cycle" && e.rank == 0) ++cycles_seen;
     EXPECT_EQ(cycles_seen, 60);
     EXPECT_GE(first_index(evs, "machine.run_end", -1), 0);
+}
+
+std::string arg(const support::TraceEvent& e, const std::string& key) {
+    for (const support::TraceArg& a : e.args)
+        if (a.key == key) return a.value;
+    return {};
+}
+
+TEST(TraceRuntime, RedistributingPassShipsOneRefreshPerRank) {
+    // Replicated and fault-free: the monitoring pass whose grace decision
+    // redistributes ships one refresh per rank, the wholesale one, and no
+    // incremental refresh of rows it is about to re-ship.
+    Observed guard;
+    run_traced(60, /*replicate=*/true);
+    const auto evs = support::trace().sorted_events();
+    std::string cycle;
+    for (const auto& e : evs)
+        if (e.name == "runtime.redistributed" && e.rank == 0) {
+            cycle = arg(e, "cycle");
+            break;
+        }
+    ASSERT_FALSE(cycle.empty());
+    for (int rank = 0; rank < 4; ++rank) {
+        int in_pass = 0, wholesale = 0, incremental = 0;
+        for (const auto& e : evs) {
+            if (e.name != "runtime.replica_refresh" || e.rank != rank)
+                continue;
+            const bool whole = arg(e, "wholesale") == "true";
+            (whole ? wholesale : incremental) += 1;
+            if (arg(e, "cycle") == cycle) {
+                ++in_pass;
+                EXPECT_TRUE(whole) << "rank " << rank;
+            }
+        }
+        EXPECT_EQ(in_pass, 1) << "rank " << rank << " cycle " << cycle;
+        EXPECT_GE(wholesale, 1) << "rank " << rank;
+        EXPECT_GT(incremental, 0) << "rank " << rank;
+    }
 }
 
 TEST(TraceRuntime, ByteIdenticalAcrossRuns) {

@@ -133,7 +133,8 @@ TEST(FollowerMessage, EveryKindRoundTrips) {
     // message reproduces the bytes only if decode read back every field.
     for (const FollowerMessage& m : {steady(), readd(), bootstrap()}) {
         const Bytes bytes = m.encode();
-        EXPECT_EQ(static_cast<Kind>(bytes.at(0)), m.kind);
+        EXPECT_EQ(bytes.at(0), std::byte{FollowerMessage::kFormatVersion});
+        EXPECT_EQ(static_cast<Kind>(bytes.at(1)), m.kind);
         const FollowerMessage back = FollowerMessage::decode(bytes);
         EXPECT_EQ(back.kind, m.kind);
         EXPECT_EQ(back.active, m.active);
@@ -161,7 +162,24 @@ TEST(FollowerMessage, RedistSeqAbove2To53IsExact) {
 }
 
 TEST(FollowerMessage, SteadyCarriesOnlyTheActiveMembers) {
-    EXPECT_EQ(steady().encode().size(), 1u + 4 + 3 * 4);
+    EXPECT_EQ(steady().encode().size(), 1u + 1 + 4 + 3 * 4);
+}
+
+TEST(FollowerMessage, UnknownVersionIsRejected) {
+    // Every kind leads with the format version; any other value in that
+    // byte rejects an otherwise intact message.
+    for (const FollowerMessage& m : {steady(), readd(), bootstrap()}) {
+        const Bytes bytes = m.encode();
+        ASSERT_EQ(bytes.front(),
+                  std::byte{FollowerMessage::kFormatVersion});
+        for (std::uint8_t version :
+             {std::uint8_t{0}, std::uint8_t{2}, std::uint8_t{0xFF}}) {
+            Bytes bad = bytes;
+            bad.front() = std::byte{version};
+            EXPECT_THROW(FollowerMessage::decode(bad), Error)
+                << "version " << int{version};
+        }
+    }
 }
 
 TEST(FollowerMessage, UnknownKindIsRejected) {
@@ -169,8 +187,12 @@ TEST(FollowerMessage, UnknownKindIsRejected) {
     // the kind check can reject them.
     for (std::uint8_t kind : {std::uint8_t{3}, std::uint8_t{0xFF}}) {
         Bytes steady_body, state_body;
-        wire::Writer(steady_body).u8(kind).ints({0, 2});
+        wire::Writer(steady_body)
+            .u8(FollowerMessage::kFormatVersion)
+            .u8(kind)
+            .ints({0, 2});
         wire::Writer(state_body)
+            .u8(FollowerMessage::kFormatVersion)
             .u8(kind)
             .ints({0, 2})
             .u64(4)

@@ -13,7 +13,11 @@ Checks, line by line:
     an error — the schema is closed; extend the table when adding events);
   * no events were lost: a "trace.dropped" event (the sink's ring buffer
     overflowed, so the oldest events are missing) is an error unless
-    --allow-drops is given.
+    --allow-drops is given;
+  * no rank ships both an incremental and a wholesale
+    "runtime.replica_refresh" inside one of its "runtime.cycle" spans: a
+    monitoring pass that redistributes re-ships every owned row
+    wholesale, so an incremental refresh beside it is wasted traffic.
 
 With --require-adaptation the trace must additionally contain the full
 Monitor -> Grace -> redistribute -> PostGrace story:
@@ -23,6 +27,7 @@ first appearance.
 
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.
 """
+import bisect
 import json
 import sys
 
@@ -128,6 +133,34 @@ def check_line(lineno, line):
     return ev, ok
 
 
+def number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_refresh_kinds(cycles, refreshes):
+    """Fail a rank whose cycle span holds both refresh kinds.
+
+    cycles: rank -> [(start, end, cycle)]; refreshes: rank ->
+    [(t, wholesale, lineno)].  A refresh outside every cycle span (a
+    manual redistribution between cycles) belongs to no pass."""
+    ok = True
+    for rank, evs in refreshes.items():
+        spans = sorted(cycles.get(rank, []))
+        starts = [s[0] for s in spans]
+        kinds = {}
+        for t, wholesale, lineno in evs:
+            i = bisect.bisect_right(starts, t) - 1
+            if i < 0 or t > spans[i][1]:
+                continue
+            seen = kinds.setdefault(i, {})
+            seen.setdefault(wholesale, lineno)
+            if len(seen) == 2 and seen[wholesale] == lineno:
+                ok = fail(lineno, f"rank {rank} shipped an incremental and a "
+                          "wholesale runtime.replica_refresh in cycle "
+                          f"{spans[i][2]} (lines {sorted(seen.values())})")
+    return ok
+
+
 def main(argv):
     args = [a for a in argv[1:] if not a.startswith("--")]
     flags = set(argv[1:]) - set(args)
@@ -144,6 +177,8 @@ def main(argv):
     ok = True
     prev_t = None
     first_seen = {}
+    cycles = {}
+    refreshes = {}
     n_events = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -154,7 +189,7 @@ def main(argv):
             continue
         n_events += 1
         t = ev.get("t")
-        if isinstance(t, (int, float)) and not isinstance(t, bool):
+        if number(t):
             if prev_t is not None and t < prev_t:
                 ok = fail(lineno,
                           f'"t" decreased: {t} after {prev_t}')
@@ -162,8 +197,16 @@ def main(argv):
         name = ev.get("ev")
         if isinstance(name, str) and name not in first_seen:
             first_seen[name] = lineno
+        args = ev.get("args")
+        if name == "runtime.cycle" and number(t) and number(ev.get("dur")) \
+                and isinstance(args, dict):
+            cycles.setdefault(ev.get("rank"), []).append(
+                (t, t + ev["dur"], args.get("cycle")))
+        if name == "runtime.replica_refresh" and number(t) \
+                and isinstance(args, dict):
+            refreshes.setdefault(ev.get("rank"), []).append(
+                (t, args.get("wholesale"), lineno))
         if name == "trace.dropped" and "--allow-drops" not in flags:
-            args = ev.get("args")
             count = args.get("count") if isinstance(args, dict) else None
             if not isinstance(count, int) or isinstance(count, bool) \
                     or count > 0:
@@ -173,6 +216,7 @@ def main(argv):
 
     if n_events == 0:
         ok = fail(0, "trace contains no events")
+    ok &= check_refresh_kinds(cycles, refreshes)
 
     if "--require-adaptation" in flags:
         order = []
